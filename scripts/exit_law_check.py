@@ -16,7 +16,7 @@ args = parser.parse_args()
 
 study = exit_time_study(
     quadratic(1), 0.0, args.alpha, args.eps, 1.0, args.eta, RngStream(args.seed),
-    n_replicates=args.reps, linear_rate=1.0,
+    n_replicates=args.reps,
 )
 rel = study.mean_exit_time / study.predicted_mean - 1.0
 print(f"alpha={args.alpha} eps={args.eps} reps={args.reps}")

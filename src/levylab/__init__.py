@@ -32,7 +32,6 @@ from .objectives import ObjectiveSpec, double_well, quadratic
 from .rng import RngStream
 from .sde import (
     SdeConfig,
-    first_exit,
     first_exit_ensemble,
     first_transition_ensemble,
     occupancy_ensemble,
@@ -85,7 +84,6 @@ __all__ = [
     "exit_scaling_study",
     "exit_time_study",
     "expected_exit_time",
-    "first_exit",
     "first_exit_ensemble",
     "first_transition_ensemble",
     "fitted_rate_slope",

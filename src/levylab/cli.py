@@ -208,6 +208,18 @@ class ExperimentConfig:
     format: str
 
 
+@dataclass(frozen=True)
+class RunResult:
+    """CSV header, rows, comment trailer and extra (path, header, rows) file, or JSON."""
+
+    header: str = ""
+    rows: tuple[str, ...] | list[str] = ()
+    partial: bool = False
+    extra: tuple[str, str, list[str]] | None = None
+    trailer: tuple[str, ...] | list[str] = ()
+    document: dict | None = None
+
+
 def _convert(command: str, key: str, value, kind: str):
     if not isinstance(value, str):
         return value  # already typed (defaults)
@@ -339,15 +351,24 @@ def _resolve_path(path: str) -> str:
 
 def _write_csv(path: str, config: ExperimentConfig, wall: float,
                header: str, rows: list[str], partial: bool = False,
-               trailer: list[str] | None = None) -> None:
+               trailer: tuple[str, ...] | list[str] = ()) -> None:
     lines = _provenance_lines(config, wall)
     if partial:
         lines.append("# partial = true")
     lines.append(header)
     lines.extend(rows)
-    lines.extend(trailer or [])
+    lines.extend(trailer)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _write_json(path: str, config: ExperimentConfig, wall: float, document: dict) -> None:
+    p = config.parameters
+    provenance = {"command": config.command, "config_hash": config_hash(config),
+                  "seed": p.get("seed", 0), "parameters": p, "wall_time_s": round(wall, 3)}
+    with open(path, "w") as fh:
+        json.dump({"provenance": provenance, "result": document}, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _build_objective(p: dict):
@@ -355,11 +376,11 @@ def _build_objective(p: dict):
     if name == "quadratic":
         spec = quadratic(p.get("dim", 1))
         center = tuple([0.0] * p.get("dim", 1))
-        return spec, center, 1.0
+        return spec, center
     if name == "double_well":
         spec = double_well(p["m1"], p["m2"], p["scale"])
         center = (float(spec.minima[p["start_basin"]]),)
-        return spec, center, None
+        return spec, center
     raise ConfigError(f"objective must be 'quadratic' or 'double_well', got {name!r}")
 
 
@@ -367,7 +388,7 @@ def _run_sample(config: ExperimentConfig):
     p = config.parameters
     params = StableParams(p["alpha"], p["sigma"])
     draws = sample_sas(params, p["n"], RngStream(p["seed"]))
-    return "value", [repr(float(v)) for v in draws], False, None
+    return RunResult("value", [repr(float(v)) for v in draws])
 
 
 def _run_estimate(config: ExperimentConfig):
@@ -376,7 +397,7 @@ def _run_estimate(config: ExperimentConfig):
     draws = sample_sas(params, p["n"], RngStream(p["seed"]))
     k1 = p["k1"] if p["k1"] > 0 else choose_block_size(p["n"])
     est = estimate_alpha(draws, k1)
-    return TAIL_ESTIMATE_HEADER, [est.csv_row()], False, None
+    return RunResult(TAIL_ESTIMATE_HEADER, [est.csv_row()])
 
 
 def _run_stability(config: ExperimentConfig):
@@ -398,25 +419,25 @@ def _run_stability(config: ExperimentConfig):
             f"stability: source must be sas, gaussian, or mixture, got {p['source']!r}"
         )
     report = stability_condition(pool, RngStream(p["seed"], 1), p["threshold"])
-    return STABILITY_REPORT_HEADER, [report.csv_row()], False, None
+    return RunResult(STABILITY_REPORT_HEADER, [report.csv_row()])
 
 
 def _run_exit_time(config: ExperimentConfig):
     p = config.parameters
-    spec, center, linear_rate = _build_objective(p)
+    spec, center = _build_objective(p)
     study = exit_time_study(
         spec, center, p["alpha"], p["eps"], p["a"], p["eta"],
         RngStream(p["seed"]), n_replicates=p["reps"], xi=p["xi"],
         sigma_brownian=p["sigma_brownian"],
         time_cap_factor=p["time_cap_factor"],
-        noise_scaling=p["noise_scaling"], linear_rate=linear_rate,
+        noise_scaling=p["noise_scaling"],
     )
     partial = study.n_diverged / p["reps"] > p["max_diverged_fraction"]
     extra = None
     if p["records_output"]:
         extra = (p["records_output"], EXIT_RECORD_HEADER,
                  [r.csv_row() for r in study.records])
-    return EXIT_STUDY_HEADER, [study.csv_row()], partial, extra
+    return RunResult(EXIT_STUDY_HEADER, [study.csv_row()], partial, extra)
 
 
 def _run_transition(config: ExperimentConfig):
@@ -432,7 +453,7 @@ def _run_transition(config: ExperimentConfig):
     if p["records_output"]:
         extra = (p["records_output"], TRANSITION_RECORD_HEADER,
                  [r.csv_row() for r in study.records])
-    return TRANSITION_STUDY_HEADER, [study.csv_row()], partial, extra
+    return RunResult(TRANSITION_STUDY_HEADER, [study.csv_row()], partial, extra)
 
 
 def _run_converge(config: ExperimentConfig):
@@ -464,7 +485,8 @@ def _run_converge(config: ExperimentConfig):
     partial = any(r.diverged_fraction > p["max_diverged_fraction"] for r in rows)
     trailer = [f"# fitted_slope = {fitted_rate_slope(rows)!r}",
                f"# sigma_gamma = {sigma_gamma!r}"]
-    return CONVERGENCE_ROW_HEADER, [r.csv_row() for r in rows], partial, None, trailer
+    return RunResult(CONVERGENCE_ROW_HEADER, [r.csv_row() for r in rows], partial,
+                     trailer=trailer)
 
 
 def _load_data(p: dict, rng: RngStream) -> DatasetSplit:
@@ -502,7 +524,7 @@ def _run_train(config: ExperimentConfig):
         log_every=p["log_every"], measure_c_st=p["measure_c_st"],
         injection=injection,
     )
-    return train_log_header(p["depth"]), [r.csv_row() for r in rows], False, None
+    return RunResult(train_log_header(p["depth"]), [r.csv_row() for r in rows])
 
 
 def _run_sweep(config: ExperimentConfig):
@@ -518,23 +540,13 @@ def _run_sweep(config: ExperimentConfig):
     n_div = sum(c.diverged for c in cells)
     partial = n_div / len(cells) > p["max_diverged_fraction"]
     extra = (p["groups_output"], SWEEP_GROUP_HEADER, [g.csv_row() for g in groups])
-    return SWEEP_CELL_HEADER, [c.csv_row() for c in cells], partial, extra
+    return RunResult(SWEEP_CELL_HEADER, [c.csv_row() for c in cells], partial, extra)
 
 
-def _run_metastability_json(config: ExperimentConfig, wall: float, partial: bool) -> str:
+def _run_metastability(config: ExperimentConfig):
     p = config.parameters
     model = solved_model(tuple(p["minima"]), tuple(p["saddles"]), p["alpha"])
-    payload = {
-        "provenance": {
-            "command": config.command,
-            "config_hash": config_hash(config),
-            "seed": p.get("seed", 0),
-            "parameters": {k: v for k, v in sorted(p.items())},
-            "wall_time_s": round(wall, 3),
-        },
-        "result": model.as_dict(),
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return RunResult(document=model.as_dict())
 
 
 _RUNNERS = {
@@ -543,6 +555,7 @@ _RUNNERS = {
     "stability": _run_stability,
     "exit-time": _run_exit_time,
     "transition": _run_transition,
+    "metastability": _run_metastability,
     "converge": _run_converge,
     "train": _run_train,
     "sweep": _run_sweep,
@@ -598,21 +611,18 @@ def main(argv: list[str] | None = None) -> int:
         config = parse_config(file_text, command_override=command, overrides=flags)
         start = time.monotonic()
         out_path = _resolve_path(config.output_path)
-        if config.command == "metastability":
-            wall = time.monotonic() - start
-            text = _run_metastability_json(config, wall, partial=False)
-            with open(out_path, "w") as fh:
-                fh.write(text)
-            return 0
         result = _RUNNERS[config.command](config)
-        header, rows, partial, extra = result[0], result[1], result[2], result[3]
-        trailer = result[4] if len(result) > 4 else None
         wall = time.monotonic() - start
-        _write_csv(out_path, config, wall, header, rows, partial, trailer)
-        if extra is not None:
-            ex_path, ex_header, ex_rows = extra
-            _write_csv(_resolve_path(ex_path), config, wall, ex_header, ex_rows, partial)
-        return 3 if partial else 0
+        if result.document is not None:
+            _write_json(out_path, config, wall, result.document)
+        else:
+            _write_csv(out_path, config, wall, result.header, result.rows,
+                       result.partial, result.trailer)
+        if result.extra is not None:
+            ex_path, ex_header, ex_rows = result.extra
+            _write_csv(_resolve_path(ex_path), config, wall, ex_header, ex_rows,
+                       result.partial)
+        return 3 if result.partial else 0
     except (ConfigError, ParameterError, ShapeError, DegenerateInputError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc), "status": 2}
         sys.stderr.write(json.dumps(record) + "\n")

@@ -4,7 +4,8 @@ An ``ObjectiveSpec`` bundles a loss, its gradient, and (in one dimension)
 the interleaved minima/saddles that define valleys for exit-time and
 occupancy measurements.  ``f`` and ``grad`` are numpy-vectorized: for
 ``dim == 1`` they map arrays elementwise, for ``dim > 1`` the last axis is
-the coordinate axis and ``f`` reduces over it.  Probe-based checkers cover
+the coordinate axis and ``f`` reduces over it.  A declared linear drift is
+checked against ``grad`` on probes.  Probe-based checkers cover
 the dissipativity and Holder-gradient conditions the convergence theory
 assumes.
 """
@@ -21,6 +22,7 @@ from .errors import ParameterError
 
 GRAD_TOL_AT_MINIMA = 1e-8
 FLAT_CURVATURE_TOL = 1e-6
+LINEAR_DRIFT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -31,6 +33,9 @@ class ObjectiveSpec:
     ``-inf < m_1 < s_1 < m_2 < ... < s_{r-1} < m_r < +inf``; the outer
     boundaries at infinity are implicit.  Valley ``i`` is the interval
     between neighboring saddles around ``m_i``.
+
+    ``linear_drift = (rate, center)`` declares grad f(w) = rate * (w - center)
+    (a scalar center is broadcast), which ensembles may scan exactly.
     """
 
     dim: int
@@ -39,10 +44,13 @@ class ObjectiveSpec:
     minima: tuple[float, ...] | None = None
     saddles: tuple[float, ...] | None = None
     f_star: float | None = None
+    linear_drift: tuple[float, tuple[float, ...]] | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ParameterError(f"dim must be >= 1, got {self.dim}")
+        if self.linear_drift is not None:
+            self._check_linear_drift()
         if self.minima is None:
             return
         if self.dim != 1:
@@ -79,6 +87,24 @@ class ObjectiveSpec:
                     stacklevel=2,
                 )
 
+    def _check_linear_drift(self):
+        rate, center = float(self.linear_drift[0]), np.asarray(self.linear_drift[1], float)
+        if center.size not in (1, self.dim) or not np.isfinite([rate, *center.flat]).all():
+            raise ParameterError(
+                f"linear drift needs a finite rate and a finite center of {self.dim} "
+                f"components, got {self.linear_drift!r}"
+            )
+        center = np.broadcast_to(center.ravel(), (self.dim,))
+        probes = center + 2.0 * np.sin(np.arange(1.0, 8 * self.dim + 1)).reshape(8, self.dim)
+        g = np.asarray(self.grad(probes), dtype=float)
+        # the absolute slack covers the rounding of w - center at a far-off center
+        atol = LINEAR_DRIFT_RTOL * abs(rate) * (1.0 + np.abs(center).max())
+        if g.shape != probes.shape or not np.allclose(
+            g, rate * (probes - center), rtol=LINEAR_DRIFT_RTOL, atol=atol
+        ):
+            raise ParameterError(f"grad is not {rate} * (w - {tuple(center)}) as declared")
+        object.__setattr__(self, "linear_drift", (rate, tuple(float(c) for c in center)))
+
     def valley_index(self, w: np.ndarray) -> np.ndarray:
         """Valley membership of points (0-based), by saddle partition."""
         if self.minima is None:
@@ -99,7 +125,7 @@ def quadratic(dim: int = 1) -> ObjectiveSpec:
         return np.asarray(w, dtype=float)
 
     geometry = {"minima": (0.0,), "saddles": (), "f_star": 0.0} if dim == 1 else {}
-    return ObjectiveSpec(dim=dim, f=f, grad=grad, **geometry)
+    return ObjectiveSpec(dim=dim, f=f, grad=grad, linear_drift=(1.0, 0.0), **geometry)
 
 
 def double_well(m1: float, m2: float, scale: float = 1.0) -> ObjectiveSpec:

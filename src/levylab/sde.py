@@ -11,13 +11,17 @@ independently per component.  The eta**(1/alpha) factor makes the stable
 term an exact increment of the driving motion over a step of length eta, so
 a finer step discretizes the same continuous-time process.
 
-Ensemble drivers advance many replicates in lockstep with chunked noise
-generation; every replicate consumes its own substream, which keeps paths
-reproducible per replicate and invariant under changes of the stopping rule
-(enlarging an exit radius can only delay the recorded exit on the same
-path).  Extreme draws are never truncated; an iterate that leaves float
-range halts its path with a divergence marker, which exit measurements
-count separately and never silently merge into exit statistics.
+One chunked engine advances every simulation: lanes move in lockstep, each
+on its own substream, and an observer (first exit, first transition, valley
+counts, stored path) sees each chunk once.  A lane's path depends on its
+stream alone, so it is reproducible per replicate, the same at any ensemble
+size, and invariant under changes of the stopping rule (enlarging an exit
+radius can only delay the recorded exit on the same path).  Ensembles scan
+a chunk exactly when the objective declares linear drift with
+0 < 1 - eta*rate < 1; ``simulate`` always takes the per-step update.
+Extreme draws are never truncated; an iterate that leaves float range halts
+its path with a divergence marker, which exit measurements count separately
+and never silently merge into exit statistics.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .stable import sample_standard_sas
 
 CHUNK_CAP = 8192
 
-TRAJECTORY_HEADER_PREFIX = "step,time"
 EXIT_RECORD_HEADER = "replicate,exited,exit_step,exit_time,radius_a,margin_xi,diverged"
 TRANSITION_RECORD_HEADER = "replicate,start_basin,end_basin,transition_step,transition_time"
 
@@ -128,8 +131,10 @@ class TransitionRecord:
 
 
 def _chunk_len(eta: float, max_steps: int) -> int:
-    # the linear fast path rescales noise by (1-eta)^(-j) within a chunk,
-    # so chunks are capped near 30/eta to keep those factors in range
+    # Each lane draws its noise one chunk at a time, and the stable sampler
+    # draws the chunk's whole uniform block before its exponential block, so
+    # the chunk length decides which variate drives which step.  Changing it
+    # changes every path and every payload byte; the 30/eta cap stays as is.
     cap = max(64, min(CHUNK_CAP, math.ceil(30.0 / eta)))
     return min(cap, max_steps)
 
@@ -149,128 +154,128 @@ def noise_increments(config: SdeConfig, n_steps: int, gen: np.random.Generator) 
     return inc
 
 
+def _scan_chunk_generic(inc, wa, spec, eta):
+    """Per-step Euler scan; overwrites the (A, L, d) increments with positions."""
+    for j in range(inc.shape[1]):
+        wa = wa - eta * spec.grad(wa) + inc[:, j]
+        inc[:, j] = wa
+
+
+def _scan_chunk_linear(inc, wa, rate, center, eta):
+    """Exact scan of u[k+1] = c u[k] + n[k], u = w - center, c = 1 - eta*rate.
+
+    Over a sub-block of B steps, u_j = c^j (u_0 + sum_{i<=j} n_i c^-i).  B is
+    at most 30/(rate*eta), so c^-B stays near e^30, and at most 700/-log(c),
+    which bounds it when c is near 0.  The chunk itself is never shortened,
+    since that would change the noise draws.  Overwrites the (A, L, d)
+    increments with positions.
+    """
+    c = 1.0 - eta * rate
+    L = inc.shape[1]
+    B = max(1, min(math.ceil(30.0 / (rate * eta)), math.floor(700.0 / -math.log(c))))
+    j = np.arange(1, min(B, L) + 1)
+    cpos = (c**j)[None, :, None]
+    cneg = (c ** (-j))[None, :, None]
+    u = wa - center
+    for s in range(0, L, B):
+        blk = inc[:, s : s + B]
+        n = blk.shape[1]
+        blk *= cneg[:, :n]
+        np.cumsum(blk, axis=1, out=blk)
+        blk += u[:, None, :]
+        blk *= cpos[:, :n]
+        u = blk[:, -1]
+    if center.any():
+        inc += center
+
+
+def _run_lanes(config, spec, streams, observe, literal=False):
+    """Advance one lane per stream, chunk by chunk, until all retire or time out.
+
+    ``observe(lanes, done, W, finite)`` gets the running lane ids, the steps
+    before the chunk, the (A, L, d) positions and their (A, L) finite mask; it
+    returns the mask (or False) of lanes it is done with.  Lanes that reach a
+    non-finite iterate retire too.  ``literal`` forces the per-step update.
+    """
+    if spec.dim != config.dim:
+        raise ParameterError(f"objective dim {spec.dim} != config dim {config.dim}")
+    eta = config.eta
+    drift = None if literal else spec.linear_drift
+    if drift is not None and not (0.0 < 1.0 - eta * drift[0] < 1.0):
+        drift = None
+    gens = [s.generator() for s in streams]
+    w = np.tile(np.asarray(config.w0), (len(gens), 1))
+    active = np.arange(len(gens))
+    done = 0
+    L0 = _chunk_len(eta, config.max_steps)
+    with np.errstate(all="ignore"):
+        while active.size and done < config.max_steps:
+            L = min(L0, config.max_steps - done)
+            W = np.empty((active.size, L, config.dim))
+            for i, rid in enumerate(active):
+                W[i] = noise_increments(config, L, gens[rid])
+            if drift is None:
+                _scan_chunk_generic(W, w[active], spec, eta)
+            else:
+                _scan_chunk_linear(W, w[active], drift[0], np.asarray(drift[1]), eta)
+            finite = np.isfinite(W).all(axis=2)
+            retire = observe(active, done, W, finite) | ~finite.all(axis=1)
+            w[active] = W[:, -1]
+            active = active[~retire]
+            done += L
+
+
 def simulate(config: SdeConfig, spec: ObjectiveSpec, rng: RngStream) -> Trajectory:
-    """Single Euler path of length up to max_steps.
+    """Single Euler path of length up to max_steps, by the per-step update.
 
     Runs are bit-identical for a fixed stream.  A non-finite iterate at step
     k truncates the stored path to w^0 .. w^(k-1) and marks divergence at k.
     """
-    if spec.dim != config.dim:
-        raise ParameterError(f"objective dim {spec.dim} != config dim {config.dim}")
-    gen = rng.generator()
-    d = config.dim
-    eta = config.eta
-    points = np.empty((config.max_steps + 1, d))
+    points = np.empty((config.max_steps + 1, config.dim))
     points[0] = config.w0
-    w = np.array(config.w0, dtype=float)
-    done = 0
-    L0 = _chunk_len(eta, config.max_steps)
-    with np.errstate(all="ignore"):
-        while done < config.max_steps:
-            L = min(L0, config.max_steps - done)
-            inc = noise_increments(config, L, gen)
-            for j in range(L):
-                w = w - eta * spec.grad(w) + inc[j]
-                points[done + 1 + j] = w
-            block = points[done + 1 : done + 1 + L]
-            finite = np.isfinite(block).all(axis=1)
-            if not finite.all():
-                bad = int(np.argmin(finite))
-                k = done + 1 + bad
-                return Trajectory(
-                    points=points[:k].copy(), eta=eta, diverged=True, diverged_step=k
-                )
-            done += L
-    return Trajectory(points=points, eta=eta)
+    diverged_at = []
+
+    def observe(lanes, done, W, finite):
+        points[done + 1 : done + 1 + W.shape[1]] = W[0]
+        if not finite[0].all():
+            diverged_at.append(done + 1 + int(np.argmin(finite[0])))
+        return False
+
+    _run_lanes(config, spec, [rng], observe, literal=True)
+    if diverged_at:
+        k = diverged_at[0]
+        return Trajectory(points=points[:k].copy(), eta=config.eta, diverged=True,
+                          diverged_step=k)
+    return Trajectory(points=points, eta=config.eta)
 
 
-def _lane_streams(rng: RngStream, n: int) -> list[np.random.Generator]:
-    return [rng.substream(r).generator() for r in range(n)]
-
-
-def _scan_chunk_generic(wa, spec, eta, inc):
-    """Advance active lanes through one chunk, returning the (A, L, d) block."""
-    A, L, d = inc.shape
-    W = np.empty((A, L, d))
-    for j in range(L):
-        wa = wa - eta * spec.grad(wa) + inc[:, j]
-        W[:, j] = wa
-    return W, wa
-
-
-def _scan_chunk_linear(wa, rate, eta, inc):
-    """Exact chunk evaluation of w[k+1] = (1 - eta*rate) w[k] + n[k].
-
-    Uses the rescaled cumulative sum w_j = c^j (w_0 + sum_i n_i c^-i); chunk
-    lengths are capped so the c^-i factors stay in floating range.
-    """
-    A, L, d = inc.shape
-    c = 1.0 - eta * rate
-    j = np.arange(1, L + 1)
-    cpos = c**j
-    cneg = c**(-j)
-    s = np.cumsum(inc * cneg[None, :, None], axis=1)
-    W = (wa[:, None, :] + s) * cpos[None, :, None]
-    return W, W[:, -1].copy()
-
-
-def _run_until(
-    config: SdeConfig,
-    spec: ObjectiveSpec,
-    rng: RngStream,
-    n_replicates: int,
-    detector,
-    linear_rate: float | None = None,
-):
-    """Advance an ensemble until each lane triggers, diverges, or times out.
+def _first_passage(config, spec, rng, n_replicates, detector):
+    """Run an ensemble until each lane triggers, diverges, or times out.
 
     ``detector(W)`` maps an (A, L, d) position block to a boolean trigger
     matrix (A, L) and an optional integer payload matrix.  Returns arrays
     (hit_step, payload, diverged) indexed by replicate; hit_step is -1 for
     lanes that never triggered.
     """
-    if spec.dim != config.dim:
-        raise ParameterError(f"objective dim {spec.dim} != config dim {config.dim}")
-    if linear_rate is not None and not (0.0 < 1.0 - config.eta * linear_rate < 1.0):
-        linear_rate = None  # fall back to the generic scan outside the stable band
-    d = config.dim
-    eta = config.eta
-    gens = _lane_streams(rng, n_replicates)
-    w = np.tile(np.asarray(config.w0), (n_replicates, 1))
-    active = np.arange(n_replicates)
     hit_step = np.full(n_replicates, -1, dtype=np.int64)
     payload = np.full(n_replicates, -1, dtype=np.int64)
     diverged = np.zeros(n_replicates, dtype=bool)
-    done = 0
-    L0 = _chunk_len(eta, config.max_steps)
-    with np.errstate(all="ignore"):
-        while active.size and done < config.max_steps:
-            L = min(L0, config.max_steps - done)
-            A = active.size
-            inc = np.empty((A, L, d))
-            for i, rid in enumerate(active):
-                inc[i] = noise_increments(config, L, gens[rid])
-            wa = w[active]
-            if linear_rate is None:
-                W, wa = _scan_chunk_generic(wa, spec, eta, inc)
-            else:
-                W, wa = _scan_chunk_linear(wa, linear_rate, eta, inc)
-            trigger, pay = detector(W)
-            bad = ~np.isfinite(W).all(axis=2)
-            stop = trigger | bad
-            hit_any = stop.any(axis=1)
-            if hit_any.any():
-                first = stop.argmax(axis=1)
-                for i in np.flatnonzero(hit_any):
-                    rid = active[i]
-                    f = first[i]
-                    hit_step[rid] = done + 1 + f
-                    diverged[rid] = bool(bad[i, f])
-                    if pay is not None and not bad[i, f]:
-                        payload[rid] = pay[i, f]
-            w[active] = wa
-            active = active[~hit_any]
-            done += L
+
+    def observe(lanes, done, W, finite):
+        trigger, pay = detector(W)
+        stop = trigger | ~finite
+        hit_any = stop.any(axis=1)
+        first = stop.argmax(axis=1)
+        for i in np.flatnonzero(hit_any):
+            rid, f = lanes[i], first[i]
+            hit_step[rid] = done + 1 + f
+            diverged[rid] = not finite[i, f]
+            if pay is not None and finite[i, f]:
+                payload[rid] = pay[i, f]
+        return hit_any
+
+    streams = [rng.substream(r) for r in range(n_replicates)]
+    _run_lanes(config, spec, streams, observe)
     return hit_step, payload, diverged
 
 
@@ -282,13 +287,12 @@ def first_exit_ensemble(
     xi: float,
     rng: RngStream,
     n_replicates: int,
-    linear_rate: float | None = None,
 ) -> list[ExitTimeRecord]:
     """First exit from the ball of radius a + xi around center, per replicate.
 
-    ``linear_rate`` enables the exact linear-drift chunk scan when the
-    caller knows grad f(w) = rate * (w - center); paths agree with the
-    generic scan up to floating-point reassociation.
+    Replicate r runs on ``rng.substream(r)``.  If ``spec`` declares linear
+    drift with 0 < 1 - eta*rate < 1, chunks take the exact linear scan, whose
+    paths agree with the per-step update up to floating-point reassociation.
     """
     if a <= 0.0:
         raise ParameterError(f"radius a must be positive, got {a}")
@@ -310,39 +314,20 @@ def first_exit_ensemble(
         dist = np.sqrt(np.sum((W - c[None, None, :]) ** 2, axis=2))
         return dist > thr, None
 
-    hit_step, _, diverged = _run_until(
-        config, spec, rng, n_replicates, detector, linear_rate=linear_rate
-    )
-    records = []
-    for r in range(n_replicates):
-        hit = int(hit_step[r])
-        div = bool(diverged[r])
-        exited = hit >= 0 and not div
-        records.append(
-            ExitTimeRecord(
-                replicate=r,
-                exited=exited,
-                exit_step=hit if hit >= 0 else None,
-                exit_time=hit * config.eta if hit >= 0 else None,
-                radius_a=a,
-                margin_xi=xi,
-                center=tuple(c),
-                diverged=div,
-            )
+    hit_step, _, diverged = _first_passage(config, spec, rng, n_replicates, detector)
+    return [
+        ExitTimeRecord(
+            replicate=r,
+            exited=hit >= 0 and not div,
+            exit_step=hit if hit >= 0 else None,
+            exit_time=hit * config.eta if hit >= 0 else None,
+            radius_a=a,
+            margin_xi=xi,
+            center=tuple(c),
+            diverged=div,
         )
-    return records
-
-
-def first_exit(
-    config: SdeConfig,
-    spec: ObjectiveSpec,
-    center: tuple[float, ...] | float,
-    a: float,
-    xi: float,
-    rng: RngStream,
-) -> ExitTimeRecord:
-    """Single-replicate first exit (replicate stream 0 of the given stream)."""
-    return first_exit_ensemble(config, spec, center, a, xi, rng, 1)[0]
+        for r, (hit, div) in enumerate(zip(hit_step.tolist(), diverged.tolist()))
+    ]
 
 
 def _validate_neighborhoods(spec: ObjectiveSpec, delta: float) -> np.ndarray:
@@ -425,7 +410,7 @@ def first_transition_ensemble(
         within = dist[np.arange(A)[:, None], np.arange(L)[None, :], nearest] <= delta
         return within, others[nearest]
 
-    hit_step, payload, diverged = _run_until(config, spec, rng, n_replicates, detector)
+    hit_step, payload, diverged = _first_passage(config, spec, rng, n_replicates, detector)
     records = []
     for r in range(n_replicates):
         if hit_step[r] >= 0 and not diverged[r]:
@@ -441,15 +426,6 @@ def first_transition_ensemble(
     return records, diverged
 
 
-def occupancy(trajectory: Trajectory, spec: ObjectiveSpec) -> np.ndarray:
-    """Fraction of stored iterates in each valley; fractions sum to one."""
-    if spec.minima is None:
-        raise ParameterError("occupancy needs an objective with declared geometry")
-    idx = spec.valley_index(trajectory.points[:, 0])
-    counts = np.bincount(idx, minlength=len(spec.minima))
-    return counts / counts.sum()
-
-
 def occupancy_ensemble(
     config: SdeConfig,
     spec: ObjectiveSpec,
@@ -461,7 +437,7 @@ def occupancy_ensemble(
 
     Each replicate runs max_steps steps on its own substream; the first
     ``burn_in`` steps of every lane are excluded from the counts.  A lane
-    that diverges contributes its finite prefix and is then ignored.
+    that diverges contributes its finite prefix and is then retired.
     Returns (fractions, n_diverged).
     """
     if spec.minima is None:
@@ -471,27 +447,19 @@ def occupancy_ensemble(
     saddles = np.asarray(spec.saddles)
     n_valleys = len(spec.minima)
     counts = np.zeros(n_valleys, dtype=np.int64)
-    gens = _lane_streams(rng, n_replicates)
-    eta = config.eta
-    d = config.dim
-    w = np.tile(np.asarray(config.w0), (n_replicates, 1))
-    done = 0
-    L0 = _chunk_len(eta, config.max_steps)
-    with np.errstate(all="ignore"):
-        while done < config.max_steps:
-            L = min(L0, config.max_steps - done)
-            inc = np.empty((n_replicates, L, d))
-            for r in range(n_replicates):
-                inc[r] = noise_increments(config, L, gens[r])
-            W, w = _scan_chunk_generic(w, spec, eta, inc)
-            keep_from = max(0, burn_in - done)
-            if keep_from < L:
-                block = W[:, keep_from:, 0].ravel()
-                finite = np.isfinite(block)
-                idx = np.searchsorted(saddles, block[finite])
-                counts += np.bincount(idx, minlength=n_valleys)
-            done += L
-    n_diverged = int((~np.isfinite(w).all(axis=1)).sum())
+    n_diverged = 0
+
+    def observe(lanes, done, W, finite):
+        nonlocal counts, n_diverged
+        keep_from = max(0, burn_in - done)
+        if keep_from < W.shape[1]:
+            block = W[:, keep_from:, 0][finite[:, keep_from:]]
+            counts += np.bincount(np.searchsorted(saddles, block), minlength=n_valleys)
+        n_diverged += int((~finite.all(axis=1)).sum())
+        return False
+
+    streams = [rng.substream(r) for r in range(n_replicates)]
+    _run_lanes(config, spec, streams, observe)
     if counts.sum() == 0:
         raise ParameterError("no samples survived burn-in")
     return counts / counts.sum(), n_diverged

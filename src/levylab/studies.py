@@ -120,7 +120,6 @@ def exit_time_study(
     sigma_brownian: float = 0.0,
     time_cap_factor: float = 8.0,
     noise_scaling: str = "jump",
-    linear_rate: float | None = None,
 ) -> ExitTimeStudy:
     """Measure first-exit times from radius a around a minimum.
 
@@ -143,9 +142,7 @@ def exit_time_study(
         sigma_brownian=sigma_brownian,
         max_steps=max_steps,
     )
-    records = first_exit_ensemble(
-        config, spec, center, a, xi, rng, n_replicates, linear_rate=linear_rate
-    )
+    records = first_exit_ensemble(config, spec, center, a, xi, rng, n_replicates)
     times = np.array([r.exit_time for r in records if r.exited])
     n_diverged = sum(r.diverged for r in records)
     n_censored = sum((not r.exited) and (not r.diverged) for r in records)
@@ -191,7 +188,6 @@ def exit_scaling_study(
     rng: RngStream,
     n_replicates: int = 300,
     noise_scaling: str = "jump",
-    linear_rate: float | None = None,
     time_cap_factor: float = 8.0,
 ) -> ExitScalingStudy:
     """Fit the growth of the mean exit time against 1/epsilon.
@@ -214,7 +210,6 @@ def exit_scaling_study(
                 rng.substream(i),
                 n_replicates=n_replicates,
                 noise_scaling=noise_scaling,
-                linear_rate=linear_rate,
                 time_cap_factor=time_cap_factor,
             )
         )

@@ -60,7 +60,7 @@ def test_exit_time_law():
     for i, alpha in enumerate((1.2, 1.5, 1.8)):
         study = exit_time_study(
             quadratic(1), 0.0, alpha, 0.01, 1.0, 1e-3, RngStream(210 + i),
-            n_replicates=500, linear_rate=1.0,
+            n_replicates=500,
         )
         rel_errs.append(study.mean_exit_time / study.predicted_mean - 1.0)
         ks_vals.append(study.ks_distance)
@@ -76,7 +76,7 @@ def test_exit_time_law():
 def test_exit_time_scaling():
     study = exit_scaling_study(
         quadratic(1), 0.0, 1.5, tuple(np.geomspace(0.1, 0.01, 5)), 1.0, 1e-3,
-        RngStream(215), n_replicates=250, linear_rate=1.0,
+        RngStream(215), n_replicates=250,
     )
     slope = study.slope_vs_inverse_epsilon
     _verdict(

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -174,6 +175,24 @@ def test_metastability_json_output(tmp_path, monkeypatch):
     pi = payload["result"]["pi"]
     assert pi[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert pi[1] == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
+def test_metastability_wall_time_covers_the_solve(tmp_path, monkeypatch):
+    import levylab.cli as cli
+
+    solve = cli.solved_model
+
+    def slow_solve(*args):
+        time.sleep(0.05)
+        return solve(*args)
+
+    monkeypatch.setattr(cli, "solved_model", slow_solve)
+    monkeypatch.setenv("LEVYLAB_OUT", str(tmp_path))
+    assert main(
+        ["metastability", "--minima", "-1,2", "--saddles", "0", "--alpha", "1.0"]
+    ) == 0
+    payload = json.loads((tmp_path / "metastability.json").read_text())
+    assert payload["provenance"]["wall_time_s"] >= 0.05
 
 
 def test_exit_time_records_file(tmp_path, monkeypatch):

@@ -22,6 +22,30 @@ def test_quadratic_values():
     assert np.array_equal(quadratic(3).grad(w), w)
 
 
+def test_quadratic_declares_linear_drift():
+    assert quadratic(1).linear_drift == (1.0, (0.0,))
+    assert quadratic(3).linear_drift == (1.0, (0.0, 0.0, 0.0))
+    assert double_well(-1.0, 2.0).linear_drift is None
+
+
+def test_linear_drift_declaration_checked_against_grad():
+    def spec(grad, drift, dim=1):
+        return ObjectiveSpec(dim=dim, f=lambda w: w, grad=grad, linear_drift=drift)
+
+    assert spec(lambda w: 2.0 * (w - 3.0), (2.0, 3.0)).linear_drift == (2.0, (3.0,))
+    assert spec(lambda w: w - 1.0, (1.0, 1.0), dim=2).linear_drift == (1.0, (1.0, 1.0))
+    for grad, drift, dim in [
+        (lambda w: w, (2.0, 0.0), 1),  # wrong rate
+        (lambda w: w - 3.0, (1.0, 0.0), 1),  # wrong center
+        (lambda w: w**3, (1.0, 0.0), 1),  # not linear
+        (lambda w: w * np.array([1.0, 2.0]), (1.0, 0.0), 2),  # not isotropic
+        (lambda w: w, (1.0, (0.0, 0.0)), 3),  # center of the wrong size
+        (lambda w: w, (np.inf, 0.0), 1),
+    ]:
+        with pytest.raises(ParameterError):
+            spec(grad, drift, dim)
+
+
 @pytest.mark.parametrize("spec,dim", [(quadratic(3), 3), (double_well(-1.0, 2.0), 1)])
 def test_gradient_matches_finite_differences(spec, dim):
     gen = np.random.default_rng(70)

@@ -1,16 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from levylab import sde
 from levylab.errors import ParameterError
 from levylab.objectives import ObjectiveSpec, double_well, quadratic
 from levylab.rng import RngStream
 from levylab.sde import (
     SdeConfig,
-    first_exit,
     first_exit_ensemble,
     first_transition_ensemble,
     noise_increments,
-    occupancy,
     occupancy_ensemble,
     simulate,
     transition_trace,
@@ -21,6 +22,26 @@ def _cfg(**kw):
     base = dict(eta=0.01, epsilon=0.1, alpha=1.5, w0=(0.0,), max_steps=200)
     base.update(kw)
     return SdeConfig(**base)
+
+
+def _undeclared(spec):
+    """The same objective without its linear-drift declaration (generic scan)."""
+    return dataclasses.replace(spec, linear_drift=None)
+
+
+def _outcomes(records):
+    return [(r.exited, r.exit_step, r.diverged) for r in records]
+
+
+def _declared_fast(monkeypatch, *args):
+    """Exit records of a run that must take the exact linear scan."""
+
+    def refuse(*_):
+        raise AssertionError("declared linear drift fell back to the per-step loop")
+
+    with monkeypatch.context() as m:
+        m.setattr(sde, "_scan_chunk_generic", refuse)
+        return first_exit_ensemble(*args)
 
 
 @pytest.mark.parametrize(
@@ -110,7 +131,7 @@ def test_divergence_marked_and_truncated():
 
 def test_stationary_start_never_exits():
     config = _cfg(epsilon=0.0, w0=(0.0,), max_steps=100)
-    rec = first_exit(config, quadratic(1), 0.0, 1.0, 0.0, RngStream(97))
+    rec = first_exit_ensemble(config, quadratic(1), 0.0, 1.0, 0.0, RngStream(97), 1)[0]
     assert not rec.exited
     assert rec.exit_step is None
     assert not rec.diverged
@@ -119,7 +140,7 @@ def test_stationary_start_never_exits():
 def test_start_outside_ball_rejected():
     config = _cfg(w0=(3.0,))
     with pytest.raises(ParameterError):
-        first_exit(config, quadratic(1), 0.0, 1.0, 0.0, RngStream(0))
+        first_exit_ensemble(config, quadratic(1), 0.0, 1.0, 0.0, RngStream(0), 1)
 
 
 def test_exit_record_consistent_with_replayed_path():
@@ -152,25 +173,70 @@ def test_exit_step_monotone_in_radius():
         assert steps[0] <= steps[1] <= steps[2]
 
 
-def test_linear_fast_path_matches_generic_scan():
+def test_linear_fast_path_matches_generic_scan(monkeypatch):
     config = _cfg(eta=0.003, epsilon=0.2, alpha=1.5, w0=(0.0,), max_steps=3000)
     spec = quadratic(1)
-    generic = first_exit_ensemble(config, spec, 0.0, 1.0, 0.0, RngStream(100), 20)
-    fast = first_exit_ensemble(
-        config, spec, 0.0, 1.0, 0.0, RngStream(100), 20, linear_rate=1.0
-    )
-    assert [r.exit_step for r in generic] == [r.exit_step for r in fast]
-    assert [r.exited for r in generic] == [r.exited for r in fast]
+    generic = first_exit_ensemble(config, _undeclared(spec), 0.0, 1.0, 0.0, RngStream(100), 20)
+    fast = _declared_fast(monkeypatch, config, spec, 0.0, 1.0, 0.0, RngStream(100), 20)
+    assert _outcomes(generic) == _outcomes(fast)
 
 
-def test_unstable_linear_rate_falls_back():
-    # eta * rate >= 1 leaves the contraction band; the run must still work
+def test_unstable_linear_drift_falls_back():
+    # eta * rate = 1.5 leaves the contraction band; the declared drift is
+    # true but the engine must take the per-step loop
+    stiff = ObjectiveSpec(dim=1, f=lambda w: 75.0 * w**2, grad=lambda w: 150.0 * w,
+                          linear_drift=(150.0, 0.0))
     config = _cfg(eta=0.01, epsilon=0.3, w0=(0.0,), max_steps=1000)
-    recs = first_exit_ensemble(
-        config, quadratic(1), 0.0, 0.8, 0.0, RngStream(101), 4, linear_rate=150.0
-    )
-    ref = first_exit_ensemble(config, quadratic(1), 0.0, 0.8, 0.0, RngStream(101), 4)
-    assert [r.exit_step for r in recs] == [r.exit_step for r in ref]
+    recs = first_exit_ensemble(config, stiff, 0.0, 0.8, 0.0, RngStream(101), 4)
+    ref = first_exit_ensemble(config, _undeclared(stiff), 0.0, 0.8, 0.0, RngStream(101), 4)
+    assert _outcomes(recs) == _outcomes(ref)
+
+
+def test_linear_scan_stiff_rate_matches_generic(monkeypatch):
+    # c = 0.9: c**-j over a full 8192-step chunk overflows unless the scan
+    # splits the chunk into sub-blocks
+    stiff = ObjectiveSpec(dim=1, f=lambda w: 50.0 * w**2, grad=lambda w: 100.0 * w,
+                          linear_drift=(100.0, 0.0))
+    config = _cfg(eta=1e-3, epsilon=0.3, alpha=1.5, w0=(0.0,), max_steps=20_000)
+    fast = _declared_fast(monkeypatch, config, stiff, 0.0, 0.5, 0.0, RngStream(120), 50)
+    ref = first_exit_ensemble(config, _undeclared(stiff), 0.0, 0.5, 0.0, RngStream(120), 50)
+    assert _outcomes(fast) == _outcomes(ref)
+    assert not any(r.diverged for r in fast)
+
+
+def test_linear_scan_shifted_center_matches_generic(monkeypatch):
+    # the scan must relax toward the declared center, not toward 0
+    shifted = ObjectiveSpec(dim=1, f=lambda w: 0.5 * (w - 3.0) ** 2,
+                            grad=lambda w: w - 3.0, linear_drift=(1.0, 3.0))
+    config = _cfg(eta=1e-3, epsilon=0.1, alpha=1.5, w0=(3.0,), max_steps=20_000)
+    fast = _declared_fast(monkeypatch, config, shifted, 3.0, 1.0, 0.0, RngStream(120), 50)
+    ref = first_exit_ensemble(config, _undeclared(shifted), 3.0, 1.0, 0.0, RngStream(120), 50)
+    assert _outcomes(fast) == _outcomes(ref)
+    assert 0 < sum(r.exited for r in fast) < 50
+
+
+@pytest.mark.parametrize("declared", [True, False], ids=["linear", "generic"])
+def test_exit_record_independent_of_ensemble_size(declared):
+    # replicate r runs on its own substream, whoever runs beside it
+    spec = quadratic(1) if declared else _undeclared(quadratic(1))
+    config = _cfg(eta=0.01, epsilon=0.1, alpha=1.5, w0=(0.0,), max_steps=10_000)
+    full = first_exit_ensemble(config, spec, 0.0, 1.0, 0.0, RngStream(121), 64)
+    assert 0 < sum(r.exited for r in full) < 64
+    for r in (0, 1, 17, 63):
+        small = first_exit_ensemble(config, spec, 0.0, 1.0, 0.0, RngStream(121), r + 1)
+        assert small[r] == full[r]
+
+
+def test_transition_record_independent_of_ensemble_size():
+    config = SdeConfig(eta=1e-3, epsilon=0.15, alpha=1.2, w0=(-1.0,), max_steps=30_000)
+    spec = double_well(-1.0, 2.0)
+    full, full_div = first_transition_ensemble(config, spec, 0.2, RngStream(122), 64)
+    by_rep = {rec.replicate: rec for rec in full}
+    assert 0 < len(by_rep) < 64
+    for r in (0, 1, 17, 63):
+        small, small_div = first_transition_ensemble(config, spec, 0.2, RngStream(122), r + 1)
+        assert {rec.replicate: rec for rec in small}.get(r) == by_rep.get(r)
+        assert small_div[r] == full_div[r]
 
 
 def test_diverged_lane_not_counted_as_exit():
@@ -217,9 +283,9 @@ def test_two_basin_transitions_all_land_in_other_basin():
 def test_occupancy_of_single_valley_path():
     config = _cfg(epsilon=0.0, w0=(-1.0,), max_steps=100)
     spec = double_well(-1.0, 2.0)
-    traj = simulate(config, spec, RngStream(105))
-    fractions = occupancy(traj, spec)
+    fractions, n_div = occupancy_ensemble(config, spec, RngStream(105), 1)
     assert fractions == pytest.approx([1.0, 0.0])
+    assert n_div == 0
 
 
 def test_occupancy_symmetric_well_balances():
@@ -234,6 +300,5 @@ def test_occupancy_symmetric_well_balances():
 def test_occupancy_requires_geometry():
     bare = ObjectiveSpec(dim=1, f=lambda w: 0.5 * w**2, grad=lambda w: w)
     config = _cfg(max_steps=10)
-    traj = simulate(config, bare, RngStream(107))
     with pytest.raises(ParameterError):
-        occupancy(traj, bare)
+        occupancy_ensemble(config, bare, RngStream(107), 1)

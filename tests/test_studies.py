@@ -47,7 +47,7 @@ def test_loglog_slope_exact_power_law():
 def test_exit_time_study_accounting():
     study = exit_time_study(
         quadratic(1), 0.0, 1.5, 0.05, 1.0, 1e-2, RngStream(111),
-        n_replicates=40, linear_rate=1.0,
+        n_replicates=40,
     )
     assert study.n_exited + study.n_censored + study.n_diverged == 40
     assert study.predicted_mean == pytest.approx(expected_exit_time(1.0, 0.05, 1.5))
@@ -60,7 +60,7 @@ def test_exit_time_study_accounting():
 def test_literal_noise_scale_runs_slower_than_jump():
     # the cf-normalized noise has a smaller effective jump intensity, so
     # measured exit times sit well above the nominal-epsilon prediction
-    kw = dict(n_replicates=40, linear_rate=1.0)
+    kw = dict(n_replicates=40)
     jump = exit_time_study(
         quadratic(1), 0.0, 1.5, 0.05, 1.0, 1e-2, RngStream(112), **kw
     )
@@ -74,7 +74,7 @@ def test_literal_noise_scale_runs_slower_than_jump():
 def test_exit_scaling_slope_is_near_alpha():
     study = exit_scaling_study(
         quadratic(1), 0.0, 1.5, (0.1, 0.05), 1.0, 1e-2, RngStream(113),
-        n_replicates=60, linear_rate=1.0,
+        n_replicates=60,
     )
     assert 1.0 < study.slope_vs_inverse_epsilon < 2.0
     with pytest.raises(ParameterError):
