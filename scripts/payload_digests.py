@@ -1,0 +1,52 @@
+#!/usr/bin/env python3
+"""Print `sha256  file` for the payload of every CLI command at small fixed configs.
+
+Each command writes into a fresh temporary $LEVYLAB_OUT; the wall-time line
+is stripped before hashing, so two checkouts that produce the same payloads
+print the same lines.  Diff the output of two checkouts to check a refactor.
+"""
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from levylab.cli import main  # noqa: E402
+
+RUNS = [
+    "sample --alpha 1.5 --n 200 --seed 1",
+    "estimate --alpha 1.5 --n 5000 --seed 2",
+    "stability --source mixture --n 3000 --seed 3",
+    "stability --alpha 1.5 --n 3000 --threshold 5 --seed 3 --output stability-sas.csv",
+    "exit-time --objective quadratic --alpha 1.6 --eps 0.5 --a 1.0 --eta 0.01 --reps 20"
+    " --seed 4 --output exit-quadratic.csv --records_output exit-quadratic-records.csv",
+    "exit-time --objective quadratic --dim 2 --alpha 1.8 --eps 0.1 --a 1.0 --eta 0.01"
+    " --reps 20 --noise_scaling cf --time_cap_factor 1.1 --seed 4 --output exit-2d.csv"
+    " --records_output exit-2d-records.csv",
+    "exit-time --objective double_well --start_basin 1 --alpha 1.5 --eps 0.5 --a 0.5"
+    " --eta 0.01 --reps 20 --seed 5 --output exit-well.csv"
+    " --records_output exit-well-records.csv",
+    "transition --alpha 1.2 --eps 0.4 --eta 0.01 --reps 20 --seed 6"
+    " --records_output transition-records.csv",
+    "metastability --minima -1,2,4 --saddles 0,3 --alpha 1.3",
+    "converge --noise sas --d 2 --ks 50,100 --reps 5 --sigma_samples 2000 --seed 7",
+    "train --n 240 --dim 5 --classes 3 --width 8 --b 20 --iters 21 --log_every 10"
+    " --measure_c_st true --seed 8",
+    "train --n 240 --dim 5 --classes 3 --width 8 --depth 2 --b 20 --iters 11 --log_every 10"
+    " --seed 8 --output train-depth2.csv",
+    "sweep --n 40 --classes 2 --dim 5 --widths 8 --batch_sizes 20 --etas 0.001,1e60"
+    " --iters 5 --seed 9",
+]
+
+with tempfile.TemporaryDirectory() as out:
+    os.environ["LEVYLAB_OUT"] = out
+    for run in RUNS:
+        status = main(run.split())
+        if status not in (0, 3):  # 3: sweep's diverging cell marks the run partial
+            sys.exit(f"{run!r} exited {status}")
+    for path in sorted(Path(out).iterdir()):
+        lines = [ln for ln in path.read_text().splitlines(keepends=True)
+                 if not ln.lstrip().startswith(("# wall_time_s", '"wall_time_s"'))]
+        print(f"{hashlib.sha256(''.join(lines).encode()).hexdigest()}  {path.name}")

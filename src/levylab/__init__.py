@@ -36,13 +36,11 @@ from .sde import (
     first_transition_ensemble,
     occupancy_ensemble,
     simulate,
-    transition_trace,
 )
 from .stability import StabilityReport, stability_condition
 from .stable import (
     StableParams,
     char_fn,
-    levy_increment,
     moment_exists,
     sample_sas,
     unit_jump_scale,
@@ -90,7 +88,6 @@ __all__ = [
     "forward_backward",
     "generator_matrix",
     "init_mlp",
-    "levy_increment",
     "load_mnist_idx",
     "moment_exists",
     "noise_scale_sweep",
@@ -106,7 +103,6 @@ __all__ = [
     "synthetic_blobs",
     "train_with_tail_logging",
     "transition_study",
-    "transition_trace",
     "unit_jump_scale",
 ]
 

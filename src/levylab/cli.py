@@ -32,6 +32,7 @@ from .convergence import (
     fitted_rate_slope,
     run_convergence,
 )
+from .csvfmt import format_cell
 from .datasets import DatasetSplit, load_mnist_idx, synthetic_blobs
 from .errors import ConfigError, DegenerateInputError, ParameterError, ShapeError
 from .metastability import solved_model
@@ -45,6 +46,7 @@ from .studies import (
     EXIT_STUDY_HEADER,
     TRANSITION_STUDY_HEADER,
     exit_time_study,
+    start_minimum,
     transition_study,
 )
 from .tail_index import TAIL_ESTIMATE_HEADER, choose_block_size, estimate_alpha
@@ -248,16 +250,6 @@ def _convert(command: str, key: str, value, kind: str):
     raise ConfigError(f"{command}: key '{key}' has unsupported kind {kind}")
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(_format_value(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def parse_config(
     text: str, command_override: str | None = None, overrides: dict | None = None
 ) -> ExperimentConfig:
@@ -317,7 +309,7 @@ def serialize_config(config: ExperimentConfig) -> str:
     """Canonical text form; parsing it back yields an equal config."""
     lines = [f"command = {config.command}"]
     for key in sorted(config.parameters):
-        lines.append(f"{key} = {_format_value(config.parameters[key])}")
+        lines.append(f"{key} = {format_cell(config.parameters[key])}")
     lines.append(f"output = {config.output_path}")
     lines.append(f"format = {config.format}")
     return "\n".join(lines) + "\n"
@@ -336,7 +328,7 @@ def _provenance_lines(config: ExperimentConfig, wall_time_s: float) -> list[str]
     for key in sorted(config.parameters):
         if key == "seed":
             continue
-        lines.append(f"# {key} = {_format_value(config.parameters[key])}")
+        lines.append(f"# {key} = {format_cell(config.parameters[key])}")
     lines.append(f"# output = {config.output_path}")
     lines.append(f"# format = {config.format}")
     lines.append(f"# wall_time_s = {wall_time_s:.3f}")
@@ -379,8 +371,7 @@ def _build_objective(p: dict):
         return spec, center
     if name == "double_well":
         spec = double_well(p["m1"], p["m2"], p["scale"])
-        center = (float(spec.minima[p["start_basin"]]),)
-        return spec, center
+        return spec, (start_minimum(spec, p["start_basin"]),)
     raise ConfigError(f"objective must be 'quadratic' or 'double_well', got {name!r}")
 
 
@@ -388,7 +379,7 @@ def _run_sample(config: ExperimentConfig):
     p = config.parameters
     params = StableParams(p["alpha"], p["sigma"])
     draws = sample_sas(params, p["n"], RngStream(p["seed"]))
-    return RunResult("value", [repr(float(v)) for v in draws])
+    return RunResult("value", [format_cell(v) for v in draws.tolist()])
 
 
 def _run_estimate(config: ExperimentConfig):
@@ -483,8 +474,8 @@ def _run_converge(config: ExperimentConfig):
     )
     rows = run_convergence(spec, noise, cfg, w0, rng.substream(1))
     partial = any(r.diverged_fraction > p["max_diverged_fraction"] for r in rows)
-    trailer = [f"# fitted_slope = {fitted_rate_slope(rows)!r}",
-               f"# sigma_gamma = {sigma_gamma!r}"]
+    trailer = [f"# fitted_slope = {format_cell(fitted_rate_slope(rows))}",
+               f"# sigma_gamma = {format_cell(sigma_gamma)}"]
     return RunResult(CONVERGENCE_ROW_HEADER, [r.csv_row() for r in rows], partial,
                      trailer=trailer)
 
@@ -512,6 +503,8 @@ def _run_train(config: ExperimentConfig):
     p = config.parameters
     if p["loss"] not in LOSS_KINDS:
         raise ConfigError(f"train: loss must be one of {LOSS_KINDS}, got {p['loss']!r}")
+    if p["depth"] < 1:
+        raise ConfigError(f"train: depth must be >= 1, got {p['depth']}")
     rng = RngStream(p["seed"])
     data = _load_data(p, rng.substream(1))
     sizes = (data.input_dim, *([p["width"]] * (p["depth"] - 1)), data.n_classes)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvfmt import format_row
 from .errors import ParameterError
 from .objectives import ObjectiveSpec
 from .rng import RngStream
@@ -153,11 +154,8 @@ class ConvergenceRow:
     diverged_fraction: float
 
     def csv_row(self) -> str:
-        return (
-            f"{self.K},{self.eta!r},{self.gamma!r},{self.alpha!r},"
-            f"{self.min_grad_sq_mean!r},{self.min_grad_sq_stderr!r},"
-            f"{self.bound!r},{self.diverged_fraction!r}"
-        )
+        return format_row(self.K, self.eta, self.gamma, self.alpha, self.min_grad_sq_mean,
+                          self.min_grad_sq_stderr, self.bound, self.diverged_fraction)
 
 
 def estimate_sigma_gamma(

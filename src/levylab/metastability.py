@@ -8,16 +8,16 @@ boundaries,
     q_ij = (1/alpha) * | 1/|s_{j-1} - m_i|^alpha - 1/|s_j - m_i|^alpha |,
 
 with the outer boundaries at infinity contributing zero.  Transition times
-accelerate like eps^alpha, and the first exit time from a radius-a
-neighborhood is asymptotically exponential with rate theta/alpha,
-theta = 2/a^alpha.  All formulas here are normalized for a driving process
+accelerate like eps^alpha, and the first exit time tau from a radius-a
+neighborhood makes eps^alpha * tau asymptotically exponential with rate
+``exit_rate(a, alpha)`` = theta/alpha, theta = 2/a^alpha, whose mean is
+``expected_exit_time``.  All formulas here are normalized for a driving process
 with unit jump intensity density |y|^(-1-alpha); see
 ``stable.unit_jump_scale`` for the matching noise amplitude.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -48,9 +48,6 @@ class MarkovChainModel:
         if self.pi is not None:
             out["pi"] = [float(p) for p in self.pi]
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
 
 
 def _boundary_term(s: float, m: float, alpha: float) -> float:
@@ -140,13 +137,10 @@ def expected_exit_time(a: float, epsilon: float, alpha: float) -> float:
     return (alpha / 2.0) * a**alpha / epsilon**alpha
 
 
-def exit_survival(u: float, a: float, epsilon: float, alpha: float) -> float:
-    """P(tau > u) ~ exp(-u * eps^alpha * theta / alpha), theta = 2/a^alpha."""
-    if u < 0:
-        raise ParameterError(f"u must be nonnegative, got {u}")
-    if a <= 0 or epsilon <= 0:
-        raise ParameterError(f"need a > 0 and epsilon > 0, got a={a}, epsilon={epsilon}")
+def exit_rate(a: float, alpha: float) -> float:
+    """Rate theta/alpha, theta = 2/a^alpha, of the exponential law of eps^alpha * tau."""
+    if a <= 0:
+        raise ParameterError(f"need a > 0, got a={a}")
     if not (0.0 < alpha <= 2.0):
         raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
-    theta = 2.0 / a**alpha
-    return math.exp(-u * epsilon**alpha * theta / alpha)
+    return (2.0 / a**alpha) / alpha

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvfmt import format_row
 from .errors import ParameterError
 from .objectives import ObjectiveSpec
 from .rng import RngStream
@@ -87,9 +88,6 @@ class Trajectory:
     def n_steps(self) -> int:
         return self.points.shape[0] - 1
 
-    def times(self) -> np.ndarray:
-        return self.eta * np.arange(self.points.shape[0])
-
 
 @dataclass(frozen=True)
 class ExitTimeRecord:
@@ -105,12 +103,8 @@ class ExitTimeRecord:
     diverged: bool = False
 
     def csv_row(self) -> str:
-        step = "" if self.exit_step is None else str(self.exit_step)
-        time = "" if self.exit_time is None else repr(self.exit_time)
-        return (
-            f"{self.replicate},{'true' if self.exited else 'false'},{step},{time},"
-            f"{self.radius_a!r},{self.margin_xi!r},{'true' if self.diverged else 'false'}"
-        )
+        return format_row(self.replicate, self.exited, self.exit_step, self.exit_time,
+                          self.radius_a, self.margin_xi, self.diverged)
 
 
 @dataclass(frozen=True)
@@ -124,10 +118,8 @@ class TransitionRecord:
     transition_time: float
 
     def csv_row(self) -> str:
-        return (
-            f"{self.replicate},{self.start_basin},{self.end_basin},"
-            f"{self.transition_step},{self.transition_time!r}"
-        )
+        return format_row(self.replicate, self.start_basin, self.end_basin,
+                          self.transition_step, self.transition_time)
 
 
 def _chunk_len(eta: float, max_steps: int) -> int:
@@ -332,7 +324,7 @@ def first_exit_ensemble(
 
 def _validate_neighborhoods(spec: ObjectiveSpec, delta: float) -> np.ndarray:
     if spec.minima is None:
-        raise ParameterError("transition tracing needs an objective with declared geometry")
+        raise ParameterError("transitions need an objective with declared geometry")
     if delta <= 0.0:
         raise ParameterError(f"delta must be positive, got {delta}")
     minima = np.asarray(spec.minima)
@@ -344,45 +336,6 @@ def _validate_neighborhoods(spec: ObjectiveSpec, delta: float) -> np.ndarray:
                 f"({bounds[i]}, {bounds[i+1]}); shrink delta={delta}"
             )
     return minima
-
-
-def transition_trace(
-    config: SdeConfig,
-    spec: ObjectiveSpec,
-    delta: float,
-    rng: RngStream,
-    replicate: int = 0,
-) -> list[TransitionRecord]:
-    """Hops between minimum neighborhoods along one simulated path.
-
-    The last-visited minimum starts as the valley of w0; a record is emitted
-    each time the iterate enters the delta-neighborhood of a different
-    minimum.  A path started and kept inside one neighborhood yields no
-    records.
-    """
-    minima = _validate_neighborhoods(spec, delta)
-    traj = simulate(config, spec, rng)
-    pts = traj.points[:, 0]
-    steps = np.arange(pts.size)
-    dist = np.abs(pts[:, None] - minima[None, :])
-    nearest = np.argmin(dist, axis=1)
-    within = dist[steps, nearest] <= delta
-    current = int(spec.valley_index(np.asarray(config.w0[0])))
-    records = []
-    for k in np.flatnonzero(within):
-        j = int(nearest[k])
-        if j != current:
-            records.append(
-                TransitionRecord(
-                    replicate=replicate,
-                    start_basin=current,
-                    end_basin=j,
-                    transition_step=int(k),
-                    transition_time=float(k * config.eta),
-                )
-            )
-            current = j
-    return records
 
 
 def first_transition_ensemble(
@@ -437,13 +390,16 @@ def occupancy_ensemble(
 
     Each replicate runs max_steps steps on its own substream; the first
     ``burn_in`` steps of every lane are excluded from the counts.  A lane
-    that diverges contributes its finite prefix and is then retired.
-    Returns (fractions, n_diverged).
+    that diverges contributes its finite prefix and is then retired; if
+    every lane diverges the run is an error, not a fraction.  Returns
+    (fractions, n_diverged).
     """
     if spec.minima is None:
         raise ParameterError("occupancy needs an objective with declared geometry")
     if not (0 <= burn_in < config.max_steps):
         raise ParameterError(f"burn_in must lie in [0, max_steps), got {burn_in}")
+    if n_replicates < 1:
+        raise ParameterError(f"n_replicates must be >= 1, got {n_replicates}")
     saddles = np.asarray(spec.saddles)
     n_valleys = len(spec.minima)
     counts = np.zeros(n_valleys, dtype=np.int64)
@@ -460,6 +416,8 @@ def occupancy_ensemble(
 
     streams = [rng.substream(r) for r in range(n_replicates)]
     _run_lanes(config, spec, streams, observe)
+    if n_diverged == n_replicates:
+        raise ParameterError(f"all {n_replicates} lanes diverged; lower eta or epsilon")
     if counts.sum() == 0:
         raise ParameterError("no samples survived burn-in")
     return counts / counts.sum(), n_diverged

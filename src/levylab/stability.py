@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvfmt import format_row
 from .errors import ParameterError
 from .rng import RngStream
 from .tail_index import choose_block_size, estimate_alpha
@@ -41,12 +42,14 @@ class StabilityReport:
     c_st: float
     threshold: float
 
+    @property
+    def passed(self) -> bool:
+        """Verdict of the test; the threshold boundary counts as passing."""
+        return self.c_st <= self.threshold
+
     def csv_row(self) -> str:
-        passed = "true" if self.c_st <= self.threshold else "false"
-        return (
-            f"{self.alpha_x!r},{self.alpha_12!r},{self.alpha_xp!r},"
-            f"{self.alpha_123!r},{self.c_st!r},{self.threshold!r},{passed}"
-        )
+        return format_row(self.alpha_x, self.alpha_12, self.alpha_xp, self.alpha_123,
+                          self.c_st, self.threshold, self.passed)
 
 
 def _subset_alpha(values: np.ndarray) -> float:
@@ -95,7 +98,3 @@ def stability_condition(
         threshold=float(threshold),
     )
 
-
-def is_alpha_stable(report: StabilityReport) -> bool:
-    """Verdict of the test; the threshold boundary counts as passing."""
-    return report.c_st <= report.threshold

@@ -8,7 +8,9 @@ A symmetric alpha-stable variable with stability index ``alpha`` and scale
 so ``alpha = 2`` is Gaussian with variance ``2 * sigma**2`` and ``alpha = 1``
 is Cauchy with scale ``sigma``.  Sampling uses the exact Chambers-Mallows-Stuck
 transform of a uniform angle and a unit exponential; no tail truncation or
-clipping is applied anywhere.
+clipping is applied anywhere.  Increments of the driving Levy motion over a
+step eta are these scale-1 draws times eta**(1/alpha); ``sde.noise_increments``
+is the one place that applies that scaling.
 """
 
 from __future__ import annotations
@@ -74,21 +76,6 @@ def sample_sas(params: StableParams, n: int, rng: RngStream) -> np.ndarray:
         raise ParameterError(f"n must be nonnegative, got {n}")
     gen = rng.generator()
     return params.sigma * sample_standard_sas(params.alpha, n, gen)
-
-
-def levy_increment(alpha: float, dt: float, dim: int, rng: RngStream) -> np.ndarray:
-    """One increment of an isotropic-componentwise alpha-stable motion.
-
-    Each component is SaS with scale dt**(1/alpha), the self-similar scaling
-    of the driving process; at alpha = 2 this coincides with sqrt(2) times a
-    Brownian increment.
-    """
-    if dt <= 0.0:
-        raise ParameterError(f"dt must be positive, got {dt}")
-    if dim < 1:
-        raise ParameterError(f"dim must be >= 1, got {dim}")
-    gen = rng.generator()
-    return dt ** (1.0 / alpha) * sample_standard_sas(alpha, dim, gen)
 
 
 def moment_exists(params: StableParams, r: float) -> bool:

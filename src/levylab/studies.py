@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvfmt import format_row
 from .errors import ParameterError
-from .metastability import expected_exit_time, generator_matrix, solved_model
+from .metastability import exit_rate, expected_exit_time, generator_matrix, solved_model
 from .objectives import ObjectiveSpec
 from .rng import RngStream
 from .sde import (
@@ -72,6 +73,14 @@ def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
+def start_minimum(spec: ObjectiveSpec, start_basin: int) -> float:
+    """The minimum of valley ``start_basin``, which must index a declared minimum."""
+    r = len(spec.minima)
+    if not (0 <= start_basin < r):
+        raise ParameterError(f"start_basin {start_basin} out of range for {r} minima")
+    return float(spec.minima[start_basin])
+
+
 def _effective_epsilon(epsilon: float, alpha: float, noise_scaling: str) -> float:
     if noise_scaling == "jump":
         return epsilon * unit_jump_scale(alpha)
@@ -99,12 +108,9 @@ class ExitTimeStudy:
     records: tuple[ExitTimeRecord, ...]
 
     def csv_row(self) -> str:
-        return (
-            f"{self.alpha!r},{self.epsilon!r},{self.radius_a!r},{self.eta!r},"
-            f"{self.n_replicates},{self.noise_scaling},{self.n_exited},{self.n_diverged},"
-            f"{self.n_censored},{self.mean_exit_time!r},{self.predicted_mean!r},"
-            f"{self.ks_distance!r}"
-        )
+        return format_row(self.alpha, self.epsilon, self.radius_a, self.eta, self.n_replicates,
+                          self.noise_scaling, self.n_exited, self.n_diverged, self.n_censored,
+                          self.mean_exit_time, self.predicted_mean, self.ks_distance)
 
 
 def exit_time_study(
@@ -148,8 +154,7 @@ def exit_time_study(
     n_censored = sum((not r.exited) and (not r.diverged) for r in records)
     if times.size == 0:
         raise ParameterError("no replicate exited; raise time_cap_factor or epsilon")
-    rate = (2.0 / a**alpha) / alpha
-    ks = ks_distance_exponential(epsilon**alpha * times, rate)
+    ks = ks_distance_exponential(epsilon**alpha * times, exit_rate(a, alpha))
     return ExitTimeStudy(
         alpha=alpha,
         epsilon=epsilon,
@@ -244,11 +249,9 @@ class TransitionStudy:
     records: tuple[TransitionRecord, ...]
 
     def csv_row(self) -> str:
-        return (
-            f"{self.alpha!r},{self.epsilon!r},{self.delta!r},{self.eta!r},"
-            f"{self.n_replicates},{self.noise_scaling},{self.n_transitioned},"
-            f"{self.n_diverged},{self.mean_transition_time!r},{self.predicted_mean!r}"
-        )
+        return format_row(self.alpha, self.epsilon, self.delta, self.eta, self.n_replicates,
+                          self.noise_scaling, self.n_transitioned, self.n_diverged,
+                          self.mean_transition_time, self.predicted_mean)
 
 
 def transition_study(
@@ -275,9 +278,7 @@ def transition_study(
     Q = generator_matrix(spec.minima, spec.saddles, alpha).Q
     if start_basin is None:
         start_basin = 0
-    r = len(spec.minima)
-    if not (0 <= start_basin < r):
-        raise ParameterError(f"start_basin {start_basin} out of range for {r} minima")
+    w0 = start_minimum(spec, start_basin)
     rate_out = float(-Q[start_basin, start_basin])
     predicted = epsilon**-alpha / rate_out
     eps_eff = _effective_epsilon(epsilon, alpha, noise_scaling)
@@ -286,7 +287,7 @@ def transition_study(
         eta=eta,
         epsilon=eps_eff,
         alpha=alpha,
-        w0=(float(spec.minima[start_basin]),),
+        w0=(w0,),
         max_steps=max_steps,
     )
     records, diverged = first_transition_ensemble(config, spec, delta, rng, n_replicates)
@@ -294,7 +295,7 @@ def transition_study(
         raise ParameterError("no replicate transitioned; raise time_cap_factor or epsilon")
     times = np.array([rec.transition_time for rec in records])
     dest = np.array([rec.end_basin for rec in records])
-    counts = np.bincount(dest, minlength=r).astype(float)
+    counts = np.bincount(dest, minlength=len(spec.minima)).astype(float)
     counts[start_basin] = 0.0
     fractions = counts / counts.sum()
     pred_fracs = Q[start_basin].copy()
@@ -344,13 +345,9 @@ class OccupancyStudy:
         return ",".join(cols)
 
     def csv_row(self) -> str:
-        vals = [repr(self.alpha), repr(self.epsilon), repr(self.eta), str(self.n_steps),
-                str(self.burn_in), str(self.n_replicates), self.noise_scaling,
-                str(self.n_diverged)]
-        vals += [repr(f) for f in self.fractions]
-        vals += [repr(p) for p in self.pi]
-        vals.append(repr(self.max_abs_error))
-        return ",".join(vals)
+        return format_row(self.alpha, self.epsilon, self.eta, self.n_steps, self.burn_in,
+                          self.n_replicates, self.noise_scaling, self.n_diverged,
+                          self.fractions, self.pi, self.max_abs_error)
 
 
 def occupancy_study(

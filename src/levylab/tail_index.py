@@ -8,6 +8,8 @@ again SaS with scale K1**(1/alpha) times larger, so
 
 The estimate is scale invariant and needs no moment assumptions.  It is
 reported unclamped: values above 2 signal lighter-than-stable tails.
+Gradient-noise pools (minibatch minus full-data gradients, whole vector and
+per layer) are estimated by ``training.layerwise_alpha``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError, ShapeError
+from .csvfmt import format_row
+from .errors import DegenerateInputError, ParameterError
 
 TAIL_ESTIMATE_HEADER = "alpha_hat,k1,k2,n_used,n_dropped"
 
@@ -40,7 +43,7 @@ class TailEstimate:
     unreliable: bool = False
 
     def csv_row(self) -> str:
-        return f"{self.alpha_hat!r},{self.k1},{self.k2},{self.n_used},{self.n_dropped}"
+        return format_row(self.alpha_hat, self.k1, self.k2, self.n_used, self.n_dropped)
 
 
 def estimate_alpha(samples: np.ndarray, k1: int) -> TailEstimate:
@@ -111,28 +114,3 @@ def choose_block_size(n_samples: int) -> int:
         if best is not None:
             return int(best)
     raise ParameterError(f"no admissible block size at or below {n_samples}")
-
-
-def gradient_noise_alpha(
-    grad_full: np.ndarray, grads_minibatch: list[np.ndarray] | np.ndarray
-) -> TailEstimate:
-    """Tail index of stochastic gradient noise.
-
-    Each minibatch gradient minus the full-data gradient gives one noise
-    vector; all vectors are flattened and concatenated in minibatch order
-    into a single pool, treating every coordinate as a draw from one
-    symmetric law.  Block size follows ``choose_block_size``.
-    """
-    full = np.asarray(grad_full, dtype=float).ravel()
-    stacked = [np.asarray(g, dtype=float).ravel() for g in grads_minibatch]
-    if not stacked:
-        raise ParameterError("need at least one minibatch gradient")
-    for g in stacked:
-        if g.shape != full.shape:
-            raise ShapeError(
-                f"minibatch gradient shape {g.shape} != full gradient shape {full.shape}"
-            )
-    pool = np.concatenate([g - full for g in stacked])
-    if not np.isfinite(pool).all():
-        raise ParameterError("gradient noise pool contains non-finite values")
-    return estimate_alpha(pool, choose_block_size(pool.size))

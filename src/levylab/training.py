@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvfmt import format_row
 from .datasets import DatasetSplit
 from .errors import DegenerateInputError, ParameterError
 from .mlp import MlpModel, accuracy, forward_backward, init_mlp
@@ -40,12 +41,8 @@ class TrainLogRow:
     c_st: float | None = None
 
     def csv_row(self) -> str:
-        layers = ",".join(repr(a) for a in self.alpha_layers)
-        cst = "" if self.c_st is None else repr(self.c_st)
-        return (
-            f"{self.iteration},{self.train_acc!r},{self.test_acc!r},{self.loss!r},"
-            f"{self.alpha_whole!r},{layers},{cst}"
-        )
+        return format_row(self.iteration, self.train_acc, self.test_acc, self.loss,
+                          self.alpha_whole, self.alpha_layers, self.c_st)
 
 
 @dataclass(frozen=True)
@@ -211,11 +208,9 @@ class SweepCell:
     diverged: bool
 
     def csv_row(self) -> str:
-        return (
-            f"{self.width},{self.depth},{self.batch_size},{self.eta!r},{self.ratio!r},"
-            f"{self.final_train_acc!r},{self.final_test_acc!r},{self.test_error!r},"
-            f"{self.alpha_hat!r},{'true' if self.diverged else 'false'}"
-        )
+        return format_row(self.width, self.depth, self.batch_size, self.eta, self.ratio,
+                          self.final_train_acc, self.final_test_acc, self.test_error,
+                          self.alpha_hat, self.diverged)
 
 
 @dataclass(frozen=True)
@@ -229,10 +224,8 @@ class SweepGroup:
     mean_alpha_hat: float
 
     def csv_row(self) -> str:
-        return (
-            f"{self.ratio!r},{self.n_cells},{self.n_diverged},"
-            f"{self.mean_test_error!r},{self.mean_alpha_hat!r}"
-        )
+        return format_row(self.ratio, self.n_cells, self.n_diverged, self.mean_test_error,
+                          self.mean_alpha_hat)
 
 
 def noise_scale_sweep(

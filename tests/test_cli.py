@@ -250,3 +250,59 @@ def test_serialize_is_order_insensitive():
     b = parse_config("command = sample\nseed = 2\nn = 10\nalpha = 1.5\n")
     assert serialize_config(a) == serialize_config(b)
     assert isinstance(a, ExperimentConfig)
+
+
+@pytest.mark.parametrize("basin", ["5", "-1"])
+def test_exit_time_rejects_start_basin_out_of_range(tmp_path, monkeypatch, capsys, basin):
+    monkeypatch.setenv("LEVYLAB_OUT", str(tmp_path))
+    assert main(
+        ["exit-time", "--objective", "double_well", "--start_basin", basin,
+         "--alpha", "1.5", "--eps", "0.5", "--a", "0.5", "--eta", "0.01", "--reps", "4"]
+    ) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["message"] == f"start_basin {basin} out of range for 2 minima"
+    assert not (tmp_path / "exit-time.csv").exists()
+
+
+@pytest.mark.parametrize("depth", ["0", "-2"])
+def test_train_rejects_depth_below_one(tmp_path, monkeypatch, capsys, depth):
+    monkeypatch.setenv("LEVYLAB_OUT", str(tmp_path))
+    assert main(["train", "--n", "40", "--classes", "2", "--dim", "3", "--width", "4",
+                 "--b", "10", "--iters", "2", "--depth", depth]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError" and "depth" in record["message"]
+    assert not (tmp_path / "train.csv").exists()
+
+
+_TINY = {
+    "sample": "--alpha 1.5 --n 50",
+    "estimate": "--alpha 1.5 --n 2000",
+    "stability": "--source mixture --n 600",
+    "exit-time": "--objective quadratic --dim 2 --alpha 1.8 --eps 0.1 --a 1.0 --eta 0.01"
+                 " --reps 12 --noise_scaling cf --time_cap_factor 1.1"
+                 " --records_output records.csv",
+    "transition": "--alpha 1.2 --eps 0.4 --eta 0.01 --reps 12 --records_output records.csv",
+    "metastability": "--minima -1,2 --saddles 0 --alpha 1.0",
+    "converge": "--d 2 --ks 20,40 --reps 3 --sigma_samples 500",
+    "train": "--n 60 --classes 2 --dim 3 --width 4 --b 10 --iters 11 --log_every 5",
+    "sweep": "--n 40 --classes 2 --dim 5 --widths 8 --batch_sizes 20 --etas 0.001,1e60"
+             " --iters 5 --groups_output groups.csv",
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_csv_cell_follows_the_format_rules(tmp_path, monkeypatch, command):
+    monkeypatch.setenv("LEVYLAB_OUT", str(tmp_path))
+    assert main([command, *_TINY[command].split(), "--seed", "3"]) in (0, 3)
+    paths = sorted(tmp_path.glob("*.csv"))
+    assert paths or command == "metastability"
+    for path in paths:
+        comments, body = _read(path)
+        header = body[0].split(",")
+        assert all(header), f"{path.name}: blank column name in {body[0]!r}"
+        assert len(body) > 1, f"{path.name}: no data rows"
+        for line in body[1:] + [c.partition(" = ")[2] for c in comments]:
+            cells = line.split(",")
+            assert not {"True", "False", "None"} & set(cells), f"{path.name}: {line!r}"
+            assert "np." not in line, f"{path.name}: {line!r}"
+        assert all(len(line.split(",")) == len(header) for line in body[1:]), path.name

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from levylab.errors import ParameterError
 from levylab.metastability import (
+    exit_rate,
     expected_exit_time,
-    exit_survival,
     generator_matrix,
     solved_model,
     stationary_distribution,
@@ -135,20 +135,26 @@ def test_expected_exit_time_homogeneous(a, eps, alpha, c):
     assert scaled == pytest.approx(base, rel=1e-9)
 
 
-def test_exit_survival_values():
-    assert exit_survival(0.0, 1.0, 0.1, 1.5) == 1.0
-    mean = expected_exit_time(1.0, 0.1, 1.5)
-    assert exit_survival(mean, 1.0, 0.1, 1.5) == pytest.approx(math.exp(-1.0))
-    assert exit_survival(5.0, 1.0, 0.1, 1.0) == pytest.approx(math.exp(-1.0))
+def test_exit_rate_values():
+    assert exit_rate(1.0, 1.5) == pytest.approx(4.0 / 3.0)
+    with pytest.raises(ParameterError):
+        exit_rate(0.0, 1.5)
+    with pytest.raises(ParameterError):
+        exit_rate(1.0, 2.5)
 
 
-@given(u=st.floats(0.0, 100.0))
-def test_exit_survival_range(u):
-    v = exit_survival(u, 1.0, 0.1, 1.5)
-    assert 0.0 < v <= 1.0
+@given(
+    a=st.floats(0.1, 10.0),
+    eps=st.floats(0.01, 1.0),
+    alpha=st.floats(0.2, 2.0),
+)
+def test_exit_rate_is_inverse_mean(a, eps, alpha):
+    assert exit_rate(a, alpha) * eps**alpha * expected_exit_time(a, eps, alpha) == (
+        pytest.approx(1.0)
+    )
 
 
-def test_model_serializes_to_json():
+def test_model_as_dict_survives_json():
     model = solved_model((-1.0, 2.0), (0.0,), 1.0)
     payload = json.loads(json.dumps(model.as_dict()))
     assert payload["pi"] == pytest.approx([1.0 / 3.0, 2.0 / 3.0])

@@ -7,7 +7,7 @@ from levylab.datasets import synthetic_blobs
 from levylab.errors import ParameterError, ShapeError
 from levylab.mlp import MlpModel, accuracy, forward_backward, init_mlp
 from levylab.rng import RngStream
-from levylab.stable import sample_standard_sas
+from levylab.stable import StableParams, sample_sas, sample_standard_sas
 from levylab.training import (
     InjectedNoise,
     layerwise_alpha,
@@ -156,6 +156,25 @@ def test_layerwise_separates_planted_tails():
     assert estimates[1].alpha_hat == pytest.approx(1.8, abs=0.15)
     assert estimates[2].alpha_hat == pytest.approx(1.2, abs=0.15)
     assert estimates[2].alpha_hat < estimates[0].alpha_hat < estimates[1].alpha_hat
+
+
+def test_layerwise_whole_vector_recovers_injected_alpha():
+    # a 99-100 layer owns 10k parameters; entry 0 pools the ten noise
+    # vectors in minibatch order
+    model = init_mlp((99, 100), RngStream(0))
+    noises = np.stack(
+        [sample_sas(StableParams(1.3, 1.0), 10_000, RngStream(45, i)) for i in range(10)]
+    )
+    est = layerwise_alpha(np.zeros(10_000), noises, model)[0]
+    assert 1.25 <= est.alpha_hat <= 1.35
+
+
+def test_layerwise_whole_vector_gaussian_noise_is_two():
+    model = init_mlp((99, 100), RngStream(0))
+    gen = RngStream(46).generator()
+    noises = np.stack([gen.normal(0.0, 1.0, 10_000) for _ in range(10)])
+    est = layerwise_alpha(np.zeros(10_000), noises, model)[0]
+    assert abs(est.alpha_hat - 2.0) < 0.1
 
 
 def test_layerwise_flags_degenerate_pool():

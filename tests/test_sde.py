@@ -14,8 +14,8 @@ from levylab.sde import (
     noise_increments,
     occupancy_ensemble,
     simulate,
-    transition_trace,
 )
+from levylab.tail_index import estimate_alpha
 
 
 def _cfg(**kw):
@@ -86,7 +86,6 @@ def test_trajectory_includes_initial_point():
     traj = simulate(config, quadratic(1), RngStream(92))
     assert traj.points.shape == (11, 1)
     assert traj.points[0, 0] == 0.7
-    assert traj.times()[1] == pytest.approx(config.eta)
 
 
 def test_single_step_matches_update_formula():
@@ -108,6 +107,18 @@ def test_noise_increments_amplitudes():
     inc = noise_increments(config, 200_000, RngStream(94).generator())
     amp = config.epsilon * config.eta ** 0.5
     assert inc.var() == pytest.approx(2.0 * amp**2, rel=0.02)
+
+
+def test_noise_increments_scale_roundtrip():
+    # the stable block is an exact increment of the driving motion: undoing
+    # the eta**(1/alpha) scale leaves unit stable draws of the same index
+    alpha, eta = 1.2, 0.01
+    config = _cfg(eta=eta, epsilon=1.0, alpha=alpha)
+    draws = np.concatenate(
+        [noise_increments(config, 1000, RngStream(32, i).generator()) for i in range(100)]
+    )
+    est = estimate_alpha(draws.ravel() / eta ** (1.0 / alpha), 100)
+    assert abs(est.alpha_hat - alpha) < 0.1
 
 
 def test_ornstein_uhlenbeck_stationary_variance():
@@ -253,21 +264,26 @@ def test_diverged_lane_not_counted_as_exit():
             assert not rec.exited
 
 
-def test_transition_trace_quiet_path_is_empty():
+def test_quiet_path_has_no_transition():
     config = _cfg(epsilon=0.0, w0=(-1.0,), max_steps=300)
-    recs = transition_trace(config, double_well(-1.0, 2.0), 0.2, RngStream(103))
-    assert recs == []
+    records, diverged = first_transition_ensemble(
+        config, double_well(-1.0, 2.0), 0.2, RngStream(103), 1
+    )
+    assert records == []
+    assert not diverged.any()
 
 
 def test_transition_requires_geometry():
     bare = ObjectiveSpec(dim=1, f=lambda w: 0.5 * w**2, grad=lambda w: w)
     with pytest.raises(ParameterError):
-        transition_trace(_cfg(), bare, 0.1, RngStream(0))
+        first_transition_ensemble(_cfg(), bare, 0.1, RngStream(0), 1)
 
 
 def test_oversized_delta_rejected():
     with pytest.raises(ParameterError):
-        transition_trace(_cfg(w0=(-1.0,)), double_well(-1.0, 2.0), 1.5, RngStream(0))
+        first_transition_ensemble(
+            _cfg(w0=(-1.0,)), double_well(-1.0, 2.0), 1.5, RngStream(0), 1
+        )
 
 
 def test_two_basin_transitions_all_land_in_other_basin():
@@ -295,6 +311,14 @@ def test_occupancy_symmetric_well_balances():
     assert fractions.sum() == pytest.approx(1.0)
     assert abs(fractions[0] - 0.5) < 0.05
     assert n_div < 8
+
+
+def test_occupancy_with_every_lane_diverged_is_an_error():
+    # long steps from a large kick overflow the quartic in every lane; there
+    # is no finite occupancy to report
+    config = SdeConfig(eta=0.3, epsilon=3.0, alpha=1.1, w0=(-1,), max_steps=5000)
+    with pytest.raises(ParameterError, match="all 16 lanes diverged"):
+        occupancy_ensemble(config, double_well(-1, 2), RngStream(10), 16, burn_in=10)
 
 
 def test_occupancy_requires_geometry():

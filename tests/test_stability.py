@@ -3,7 +3,7 @@ import pytest
 
 from levylab.errors import ParameterError
 from levylab.rng import RngStream
-from levylab.stability import StabilityReport, is_alpha_stable, stability_condition
+from levylab.stability import StabilityReport, stability_condition
 from levylab.stable import StableParams, sample_sas
 
 
@@ -15,9 +15,9 @@ def _report(c_st, threshold=0.05):
 
 
 def test_verdict_boundary_inclusive():
-    assert is_alpha_stable(_report(0.03))
-    assert is_alpha_stable(_report(0.05))
-    assert not is_alpha_stable(_report(0.07))
+    assert _report(0.03).passed
+    assert _report(0.05).passed
+    assert not _report(0.07).passed
 
 
 def test_determinism():
@@ -81,7 +81,7 @@ def test_stable_pool_pass_rate_alpha_13():
     for s in range(30):
         draws = sample_sas(StableParams(1.3, 1.0), 120_000, RngStream(61).substream(s))
         rep = stability_condition(draws, RngStream(62).substream(s))
-        hits += is_alpha_stable(rep)
+        hits += rep.passed
     assert hits >= 27
 
 
@@ -95,5 +95,5 @@ def test_gaussian_pool_pass_rate():
     hits = 0
     for _ in range(30):
         rep = stability_condition(gen.normal(0.0, 1.0, 120_000), RngStream(64))
-        hits += is_alpha_stable(rep)
+        hits += rep.passed
     assert hits >= 27

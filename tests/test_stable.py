@@ -10,12 +10,10 @@ from levylab.rng import RngStream
 from levylab.stable import (
     StableParams,
     char_fn,
-    levy_increment,
     moment_exists,
     sample_sas,
     unit_jump_scale,
 )
-from levylab.tail_index import estimate_alpha
 
 
 @pytest.mark.parametrize("alpha", [-1.0, 0.0, 2.1])
@@ -95,31 +93,6 @@ def test_summation_stability():
     for omega in (0.5, 1.0, 2.0):
         ecf = np.mean(np.cos(omega * rescaled))
         assert abs(ecf - char_fn(StableParams(alpha, 1.0), omega)) < 0.01
-
-
-def test_levy_increment_gaussian_variance():
-    draws = levy_increment(2.0, 1.0, 1, RngStream(31))
-    assert draws.shape == (1,)
-    big = np.concatenate(
-        [levy_increment(2.0, 1.0, 10, RngStream(31, i)) for i in range(100_000)]
-    )
-    assert abs(big.var() - 2.0) < 0.05
-
-
-def test_levy_increment_rejects_bad_dt():
-    with pytest.raises(ParameterError):
-        levy_increment(1.5, 0.0, 1, RngStream(0))
-    with pytest.raises(ParameterError):
-        levy_increment(1.5, -1.0, 1, RngStream(0))
-
-
-def test_levy_increment_scale_roundtrip():
-    alpha, dt = 1.2, 0.01
-    draws = np.concatenate(
-        [levy_increment(alpha, dt, 1000, RngStream(32, i)) for i in range(100)]
-    )
-    est = estimate_alpha(draws / dt ** (1.0 / alpha), 100)
-    assert abs(est.alpha_hat - alpha) < 0.1
 
 
 def test_moment_exists_table():

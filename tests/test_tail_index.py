@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from levylab.errors import DegenerateInputError, ParameterError, ShapeError
+from levylab.errors import DegenerateInputError, ParameterError
 from levylab.rng import RngStream
 from levylab.stable import StableParams, sample_sas
-from levylab.tail_index import choose_block_size, estimate_alpha, gradient_noise_alpha
+from levylab.tail_index import choose_block_size, estimate_alpha
 
 
 @pytest.mark.parametrize("c", [1.0, -3.0, 0.25])
@@ -122,30 +122,3 @@ def test_used_count_identity(n, k1):
     assert est.n_used + est.n_dropped == n
     assert est.alpha_hat > 0
 
-
-def test_gradient_noise_alpha_injection():
-    full = np.zeros(10_000)
-    noises = [
-        sample_sas(StableParams(1.3, 1.0), 10_000, RngStream(45, i)) for i in range(10)
-    ]
-    est = gradient_noise_alpha(full, noises)
-    assert 1.25 <= est.alpha_hat <= 1.35
-
-
-def test_gradient_noise_alpha_gaussian():
-    full = np.zeros(10_000)
-    gen = RngStream(46).generator()
-    noises = [gen.normal(0.0, 1.0, 10_000) for _ in range(10)]
-    est = gradient_noise_alpha(full, noises)
-    assert abs(est.alpha_hat - 2.0) < 0.1
-
-
-def test_gradient_noise_alpha_degenerate():
-    g = np.ones(1000)
-    with pytest.raises(DegenerateInputError):
-        gradient_noise_alpha(g, [g.copy()])
-
-
-def test_gradient_noise_alpha_shape_mismatch():
-    with pytest.raises(ShapeError):
-        gradient_noise_alpha(np.zeros(10), [np.zeros(11)])
