@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Print `sha256  file` for the payload of every CLI command at small fixed configs.
 
+The one acceptance study without a command, `occupancy_study`, is run too and
+its header and row are hashed as `occupancy_study.csv`.
+
 Each command writes into a fresh temporary $LEVYLAB_OUT; the wall-time line
 is stripped before hashing, so two checkouts that produce the same payloads
 print the same lines.  Diff the output of two checkouts to check a refactor.
@@ -14,6 +17,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from levylab.cli import main  # noqa: E402
+from levylab.objectives import double_well  # noqa: E402
+from levylab.rng import RngStream  # noqa: E402
+from levylab.studies import occupancy_study  # noqa: E402
 
 RUNS = [
     "sample --alpha 1.5 --n 200 --seed 1",
@@ -46,6 +52,9 @@ with tempfile.TemporaryDirectory() as out:
         status = main(run.split())
         if status not in (0, 3):  # 3: sweep's diverging cell marks the run partial
             sys.exit(f"{run!r} exited {status}")
+    occ = occupancy_study(double_well(-1.0, 2.0), 1.2, 0.1, 1e-3, RngStream(10),
+                          n_replicates=4, n_steps=60_000)
+    Path(out, "occupancy_study.csv").write_text(occ.header() + "\n" + occ.csv_row() + "\n")
     for path in sorted(Path(out).iterdir()):
         lines = [ln for ln in path.read_text().splitlines(keepends=True)
                  if not ln.lstrip().startswith(("# wall_time_s", '"wall_time_s"'))]

@@ -63,23 +63,41 @@ OUT_DIR_ENV = "LEVYLAB_OUT"
 
 _REQUIRED = object()
 
-# key -> (kind, default); kinds: int float str bool list_int list_float
+# key -> (kind, default); kinds: int float str bool list_int list_float.
+# A key shared by several commands is declared once, in the group below that
+# holds it; keys whose default differs by command stay in the command.
 _COMMON = {"seed": ("int", 0), "output": ("str", ""), "format": ("str", "")}
+_SAS = {"alpha": ("float", _REQUIRED), "sigma": ("float", 1.0), "n": ("int", _REQUIRED)}
+_WELL = {
+    "m1": ("float", -1.0),
+    "m2": ("float", 2.0),
+    "scale": ("float", 1.0),
+    "start_basin": ("int", 0),
+}
+_VALLEY_RUN = {
+    "alpha": ("float", _REQUIRED),
+    "eps": ("float", _REQUIRED),
+    "eta": ("float", 1e-3),
+    "noise_scaling": ("str", "jump"),
+    "time_cap_factor": ("float", 8.0),
+    "max_diverged_fraction": ("float", 0.5),
+    "records_output": ("str", ""),
+}
+_DATA = {
+    "source": ("str", "blobs"),
+    "dim": ("int", 20),
+    "classes": ("int", 10),
+    "spread": ("float", 2.0),
+    "images": ("str", ""),
+    "labels": ("str", ""),
+    "test_images": ("str", ""),
+    "test_labels": ("str", ""),
+    "subsample": ("int", 0),
+}
 
 SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
-    "sample": {
-        **_COMMON,
-        "alpha": ("float", _REQUIRED),
-        "sigma": ("float", 1.0),
-        "n": ("int", _REQUIRED),
-    },
-    "estimate": {
-        **_COMMON,
-        "alpha": ("float", _REQUIRED),
-        "sigma": ("float", 1.0),
-        "n": ("int", _REQUIRED),
-        "k1": ("int", 0),
-    },
+    "sample": {**_COMMON, **_SAS},
+    "estimate": {**_COMMON, **_SAS, "k1": ("int", 0)},
     "stability": {
         **_COMMON,
         "source": ("str", "sas"),
@@ -90,39 +108,21 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
     },
     "exit-time": {
         **_COMMON,
+        **_WELL,
+        **_VALLEY_RUN,
         "objective": ("str", "quadratic"),
         "dim": ("int", 1),
-        "m1": ("float", -1.0),
-        "m2": ("float", 2.0),
-        "scale": ("float", 1.0),
-        "start_basin": ("int", 0),
-        "alpha": ("float", _REQUIRED),
-        "eps": ("float", _REQUIRED),
         "a": ("float", _REQUIRED),
         "xi": ("float", 0.0),
-        "eta": ("float", 1e-3),
         "reps": ("int", 500),
         "sigma_brownian": ("float", 0.0),
-        "noise_scaling": ("str", "jump"),
-        "time_cap_factor": ("float", 8.0),
-        "max_diverged_fraction": ("float", 0.5),
-        "records_output": ("str", ""),
     },
     "transition": {
         **_COMMON,
-        "m1": ("float", -1.0),
-        "m2": ("float", 2.0),
-        "scale": ("float", 1.0),
-        "alpha": ("float", _REQUIRED),
-        "eps": ("float", _REQUIRED),
+        **_WELL,
+        **_VALLEY_RUN,
         "delta": ("float", 0.2),
-        "eta": ("float", 1e-3),
         "reps": ("int", 300),
-        "start_basin": ("int", 0),
-        "noise_scaling": ("str", "jump"),
-        "time_cap_factor": ("float", 8.0),
-        "max_diverged_fraction": ("float", 0.5),
-        "records_output": ("str", ""),
     },
     "metastability": {
         **_COMMON,
@@ -149,16 +149,8 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
     },
     "train": {
         **_COMMON,
-        "source": ("str", "blobs"),
+        **_DATA,
         "n": ("int", 8000),
-        "dim": ("int", 20),
-        "classes": ("int", 10),
-        "spread": ("float", 2.0),
-        "images": ("str", ""),
-        "labels": ("str", ""),
-        "test_images": ("str", ""),
-        "test_labels": ("str", ""),
-        "subsample": ("int", 0),
         "width": ("int", 128),
         "depth": ("int", 3),
         "b": ("int", 100),
@@ -173,16 +165,8 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
     },
     "sweep": {
         **_COMMON,
-        "source": ("str", "blobs"),
+        **_DATA,
         "n": ("int", 2000),
-        "dim": ("int", 20),
-        "classes": ("int", 10),
-        "spread": ("float", 2.0),
-        "images": ("str", ""),
-        "labels": ("str", ""),
-        "test_images": ("str", ""),
-        "test_labels": ("str", ""),
-        "subsample": ("int", 0),
         "widths": ("list_int", _REQUIRED),
         "depths": ("list_int", (2,)),
         "batch_sizes": ("list_int", _REQUIRED),
@@ -255,9 +239,9 @@ def parse_config(
 ) -> ExperimentConfig:
     """Typed config from `key = value` text, with flag overrides applied.
 
-    The command comes from a `command = ...` line unless overridden.
-    Unknown, duplicate, or missing required keys are fatal and named in the
-    diagnostic.
+    The command comes from a `command = ...` line or from the override; if
+    both are given they must agree.  Unknown, duplicate, or missing required
+    keys are fatal and named in the diagnostic.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -272,9 +256,12 @@ def parse_config(
         if key in raw:
             raise ConfigError(f"duplicate key '{key}' (line {lineno})")
         raw[key] = value
-    command = command_override or raw.pop("command", None)
-    if command_override is not None:
-        raw.pop("command", None)
+    command = raw.pop("command", None)
+    if command_override is not None and command not in (None, command_override):
+        raise ConfigError(
+            f"config file names command {command!r} but {command_override!r} was asked for"
+        )
+    command = command_override or command
     if not command:
         raise ConfigError(f"no command given; choose one of {', '.join(COMMANDS)}")
     if command not in SCHEMAS:
@@ -323,7 +310,7 @@ def _provenance_lines(config: ExperimentConfig, wall_time_s: float) -> list[str]
     lines = [
         f"# levylab {config.command}",
         f"# config_hash = {config_hash(config)}",
-        f"# seed = {config.parameters.get('seed', 0)}",
+        f"# seed = {config.parameters['seed']}",
     ]
     for key in sorted(config.parameters):
         if key == "seed":
@@ -357,19 +344,31 @@ def _write_csv(path: str, config: ExperimentConfig, wall: float,
 def _write_json(path: str, config: ExperimentConfig, wall: float, document: dict) -> None:
     p = config.parameters
     provenance = {"command": config.command, "config_hash": config_hash(config),
-                  "seed": p.get("seed", 0), "parameters": p, "wall_time_s": round(wall, 3)}
+                  "seed": p["seed"], "parameters": p, "wall_time_s": round(wall, 3)}
     with open(path, "w") as fh:
         json.dump({"provenance": provenance, "result": document}, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def _build_objective(p: dict):
-    name = p.get("objective", "double_well")
+def _reject_unread(config: ExperimentConfig, reason: str, *keys: str) -> None:
+    """Refuse ``keys`` unread under ``reason`` unless at their default, which
+    leaves the provenance equal to a run without them."""
+    schema = SCHEMAS[config.command]
+    for key in keys:
+        if config.parameters[key] != schema[key][1]:
+            raise ConfigError(
+                f"{config.command}: key '{key}' is not read when {reason}; remove it"
+            )
+
+
+def _build_objective(config: ExperimentConfig):
+    p = config.parameters
+    name = p["objective"]
     if name == "quadratic":
-        spec = quadratic(p.get("dim", 1))
-        center = tuple([0.0] * p.get("dim", 1))
-        return spec, center
+        _reject_unread(config, "objective = quadratic", *_WELL)
+        return quadratic(p["dim"]), tuple([0.0] * p["dim"])
     if name == "double_well":
+        _reject_unread(config, "objective = double_well", "dim")
         spec = double_well(p["m1"], p["m2"], p["scale"])
         return spec, (start_minimum(spec, p["start_basin"]),)
     raise ConfigError(f"objective must be 'quadratic' or 'double_well', got {name!r}")
@@ -396,12 +395,15 @@ def _run_stability(config: ExperimentConfig):
     gen = RngStream(p["seed"]).generator()
     n = p["n"]
     if p["source"] == "sas":
+        _reject_unread(config, "source = sas", "shift")
         if p["alpha"] <= 0.0:
             raise ConfigError("stability: key 'alpha' required for source = sas")
         pool = sample_sas(StableParams(p["alpha"]), n, RngStream(p["seed"]))
     elif p["source"] == "gaussian":
+        _reject_unread(config, "source = gaussian", "alpha", "shift")
         pool = gen.normal(0.0, 1.0, n)
     elif p["source"] == "mixture":
+        _reject_unread(config, "source = mixture", "alpha")
         pool = gen.normal(0.0, 1.0, n)
         signs = gen.integers(0, 2, n) * 2 - 1
         pool = pool + p["shift"] * signs
@@ -415,7 +417,7 @@ def _run_stability(config: ExperimentConfig):
 
 def _run_exit_time(config: ExperimentConfig):
     p = config.parameters
-    spec, center = _build_objective(p)
+    spec, center = _build_objective(config)
     study = exit_time_study(
         spec, center, p["alpha"], p["eps"], p["a"], p["eta"],
         RngStream(p["seed"]), n_replicates=p["reps"], xi=p["xi"],
@@ -452,6 +454,12 @@ def _run_converge(config: ExperimentConfig):
     kind = p["noise"]
     if kind not in ("sas", "gaussian"):
         raise ConfigError(f"converge: noise must be 'sas' or 'gaussian', got {kind!r}")
+    if kind == "gaussian":
+        _reject_unread(config, "noise = gaussian", "alpha")
+    if p["eta"] > 0.0:
+        _reject_unread(config, "eta > 0", "c")
+    if p["sigma_gamma"] > 0.0:
+        _reject_unread(config, "sigma_gamma > 0", "sigma_samples")
     alpha = 2.0 if kind == "gaussian" else p["alpha"]
     noise = GradientNoise(kind, alpha, p["scale"])
     gamma = p["gamma"] if p["gamma"] > 0.0 else (
@@ -480,11 +488,15 @@ def _run_converge(config: ExperimentConfig):
                      trailer=trailer)
 
 
-def _load_data(p: dict, rng: RngStream) -> DatasetSplit:
+def _load_data(config: ExperimentConfig, rng: RngStream) -> DatasetSplit:
+    p = config.parameters
+    files = ("images", "labels", "test_images", "test_labels")
     if p["source"] == "blobs":
+        _reject_unread(config, "source = blobs", *files, "subsample")
         return synthetic_blobs(p["n"], p["dim"], p["classes"], p["spread"], rng)
     if p["source"] == "mnist":
-        for key in ("images", "labels", "test_images", "test_labels"):
+        _reject_unread(config, "source = mnist", "n", "dim", "classes", "spread")
+        for key in files:
             if not p[key]:
                 raise ConfigError(f"source = mnist requires key '{key}'")
         train_x, train_y = load_mnist_idx(p["images"], p["labels"])
@@ -505,13 +517,15 @@ def _run_train(config: ExperimentConfig):
         raise ConfigError(f"train: loss must be one of {LOSS_KINDS}, got {p['loss']!r}")
     if p["depth"] < 1:
         raise ConfigError(f"train: depth must be >= 1, got {p['depth']}")
-    rng = RngStream(p["seed"])
-    data = _load_data(p, rng.substream(1))
-    sizes = (data.input_dim, *([p["width"]] * (p["depth"] - 1)), data.n_classes)
-    model = init_mlp(sizes, rng.substream(2), scheme=p["init"])
     injection = None
     if p["inject_alpha"] > 0.0:
         injection = InjectedNoise(p["inject_alpha"], p["inject_scale"])
+    else:
+        _reject_unread(config, "inject_alpha <= 0", "inject_scale")
+    rng = RngStream(p["seed"])
+    data = _load_data(config, rng.substream(1))
+    sizes = (data.input_dim, *([p["width"]] * (p["depth"] - 1)), data.n_classes)
+    model = init_mlp(sizes, rng.substream(2), scheme=p["init"])
     rows = train_with_tail_logging(
         model, data, p["b"], p["eta"], p["iters"], p["loss"], rng.substream(3),
         log_every=p["log_every"], measure_c_st=p["measure_c_st"],
@@ -525,7 +539,7 @@ def _run_sweep(config: ExperimentConfig):
     if p["loss"] not in LOSS_KINDS:
         raise ConfigError(f"sweep: loss must be one of {LOSS_KINDS}, got {p['loss']!r}")
     rng = RngStream(p["seed"])
-    data = _load_data(p, rng.substream(1))
+    data = _load_data(config, rng.substream(1))
     cells, groups = noise_scale_sweep(
         data, tuple(p["widths"]), tuple(p["depths"]), tuple(p["batch_sizes"]),
         tuple(p["etas"]), p["loss"], p["iters"], rng.substream(2),

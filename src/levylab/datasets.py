@@ -106,14 +106,13 @@ def synthetic_blobs(
     n_classes: int,
     spread: float,
     rng: RngStream,
-    test_fraction: float = 0.25,
 ) -> DatasetSplit:
     """Class-conditional Gaussian clusters, balanced train and test parts.
 
     Centers are standard normal draws from the stream; each point is its
     class center plus spread-scaled Gaussian noise, so spread=0 collapses
     every class onto its center.  n counts training points and must be
-    divisible by n_classes; the test part gets about test_fraction of n,
+    divisible by n_classes; the test part gets about a quarter of n,
     also balanced.
     """
     if n_classes < 2:
@@ -124,12 +123,10 @@ def synthetic_blobs(
         raise ParameterError(f"dim must be positive, got {dim}")
     if spread < 0.0:
         raise ParameterError(f"spread must be nonnegative, got {spread}")
-    if not (0.0 < test_fraction < 1.0):
-        raise ParameterError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     gen = rng.generator()
     centers = gen.normal(0.0, 1.0, (n_classes, dim))
     per_train = n // n_classes
-    per_test = max(1, int(round(n * test_fraction)) // n_classes)
+    per_test = max(1, round(n / 4) // n_classes)
 
     def part(per_class: int):
         y = np.repeat(np.arange(n_classes), per_class)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError
+from .objectives import valley_partition
 
 STATIONARY_RESIDUAL_TOL = 1e-10
 
@@ -68,18 +69,10 @@ def generator_matrix(
     """
     if not (0.0 < alpha <= 2.0):
         raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
-    mins = tuple(float(m) for m in minima)
-    sads = tuple(float(s) for s in saddles)
-    r = len(mins)
+    r = len(minima)
     if r < 2:
         raise ParameterError(f"need at least two minima, got {r}")
-    if len(sads) != r - 1:
-        raise ParameterError(f"{r} minima require {r - 1} interior saddles, got {len(sads)}")
-    interleaved = [mins[0]]
-    for s, m in zip(sads, mins[1:]):
-        interleaved.extend((s, m))
-    if any(a >= b for a, b in zip(interleaved, interleaved[1:])):
-        raise ParameterError(f"minima and saddles must strictly interleave, got {interleaved}")
+    mins, sads = valley_partition(minima, saddles)
 
     bounds = (-math.inf, *sads, math.inf)
     Q = np.zeros((r, r))

@@ -25,6 +25,24 @@ FLAT_CURVATURE_TOL = 1e-6
 LINEAR_DRIFT_RTOL = 1e-9
 
 
+def valley_partition(
+    minima: Sequence[float], saddles: Sequence[float]
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Minima and interior saddles as floats, checked to satisfy
+    ``m_1 < s_1 < m_2 < ... < s_{r-1} < m_r``."""
+    mins = tuple(float(m) for m in minima)
+    sads = tuple(float(s) for s in saddles)
+    r = len(mins)
+    if len(sads) != r - 1:
+        raise ParameterError(f"{r} minima require {r - 1} interior saddles, got {len(sads)}")
+    interleaved = [mins[0]]
+    for s, m in zip(sads, mins[1:]):
+        interleaved.extend((s, m))
+    if any(a >= b for a, b in zip(interleaved, interleaved[1:])):
+        raise ParameterError(f"minima and saddles must strictly interleave, got {interleaved}")
+    return mins, sads
+
+
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """A differentiable objective plus optional one-dimensional geometry.
@@ -43,7 +61,6 @@ class ObjectiveSpec:
     grad: Callable[[np.ndarray], np.ndarray]
     minima: tuple[float, ...] | None = None
     saddles: tuple[float, ...] | None = None
-    f_star: float | None = None
     linear_drift: tuple[float, tuple[float, ...]] | None = None
 
     def __post_init__(self):
@@ -55,20 +72,7 @@ class ObjectiveSpec:
             return
         if self.dim != 1:
             raise ParameterError("declared geometry is only supported for dim == 1")
-        minima = tuple(float(m) for m in self.minima)
-        saddles = tuple(float(s) for s in (self.saddles or ()))
-        if len(saddles) != len(minima) - 1:
-            raise ParameterError(
-                f"{len(minima)} minima require {len(minima) - 1} interior saddles, "
-                f"got {len(saddles)}"
-            )
-        interleaved = [minima[0]]
-        for s, m in zip(saddles, minima[1:]):
-            interleaved.extend((s, m))
-        if any(a >= b for a, b in zip(interleaved, interleaved[1:])):
-            raise ParameterError(
-                f"minima and saddles must strictly interleave, got {interleaved}"
-            )
+        minima, saddles = valley_partition(self.minima, self.saddles or ())
         for m in minima:
             g = float(np.asarray(self.grad(np.asarray(m))))
             if abs(g) >= GRAD_TOL_AT_MINIMA:
@@ -124,7 +128,7 @@ def quadratic(dim: int = 1) -> ObjectiveSpec:
     def grad(w):
         return np.asarray(w, dtype=float)
 
-    geometry = {"minima": (0.0,), "saddles": (), "f_star": 0.0} if dim == 1 else {}
+    geometry = {"minima": (0.0,), "saddles": ()} if dim == 1 else {}
     return ObjectiveSpec(dim=dim, f=f, grad=grad, linear_drift=(1.0, 0.0), **geometry)
 
 
@@ -148,10 +152,7 @@ def double_well(m1: float, m2: float, scale: float = 1.0) -> ObjectiveSpec:
         w = np.asarray(w, dtype=float)
         return scale * w * (w - m1) * (w - m2)
 
-    f_star = float(min(f(np.asarray(m1)), f(np.asarray(m2))))
-    return ObjectiveSpec(
-        dim=1, f=f, grad=grad, minima=(m1, m2), saddles=(0.0,), f_star=f_star
-    )
+    return ObjectiveSpec(dim=1, f=f, grad=grad, minima=(m1, m2), saddles=(0.0,))
 
 
 def finite_difference_gradient(

@@ -400,7 +400,6 @@ def occupancy_ensemble(
         raise ParameterError(f"burn_in must lie in [0, max_steps), got {burn_in}")
     if n_replicates < 1:
         raise ParameterError(f"n_replicates must be >= 1, got {n_replicates}")
-    saddles = np.asarray(spec.saddles)
     n_valleys = len(spec.minima)
     counts = np.zeros(n_valleys, dtype=np.int64)
     n_diverged = 0
@@ -410,7 +409,7 @@ def occupancy_ensemble(
         keep_from = max(0, burn_in - done)
         if keep_from < W.shape[1]:
             block = W[:, keep_from:, 0][finite[:, keep_from:]]
-            counts += np.bincount(np.searchsorted(saddles, block), minlength=n_valleys)
+            counts += np.bincount(spec.valley_index(block), minlength=n_valleys)
         n_diverged += int((~finite.all(axis=1)).sum())
         return False
 

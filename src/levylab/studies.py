@@ -40,7 +40,6 @@ EXIT_STUDY_HEADER = (
     "alpha,epsilon,radius_a,eta,n_replicates,noise_scaling,"
     "n_exited,n_diverged,n_censored,mean_exit_time,predicted_mean,ks_distance"
 )
-SCALING_ROW_HEADER = "alpha,epsilon,eta,n_replicates,mean_exit_time,predicted_mean"
 TRANSITION_STUDY_HEADER = (
     "alpha,epsilon,delta,eta,n_replicates,noise_scaling,"
     "n_transitioned,n_diverged,mean_transition_time,predicted_mean"
@@ -81,12 +80,22 @@ def start_minimum(spec: ObjectiveSpec, start_basin: int) -> float:
     return float(spec.minima[start_basin])
 
 
-def _effective_epsilon(epsilon: float, alpha: float, noise_scaling: str) -> float:
+def _study_config(
+    alpha: float,
+    epsilon: float,
+    eta: float,
+    noise_scaling: str,
+    w0: tuple[float, ...],
+    max_steps: int,
+    sigma_brownian: float = 0.0,
+) -> SdeConfig:
+    """The simulated run for a nominal epsilon, rescaled as ``noise_scaling`` says."""
     if noise_scaling == "jump":
-        return epsilon * unit_jump_scale(alpha)
-    if noise_scaling == "cf":
-        return epsilon
-    raise ParameterError(f"noise_scaling must be 'jump' or 'cf', got {noise_scaling!r}")
+        epsilon = epsilon * unit_jump_scale(alpha)
+    elif noise_scaling != "cf":
+        raise ParameterError(f"noise_scaling must be 'jump' or 'cf', got {noise_scaling!r}")
+    return SdeConfig(eta=eta, epsilon=epsilon, alpha=alpha, w0=w0,
+                     sigma_brownian=sigma_brownian, max_steps=max_steps)
 
 
 @dataclass(frozen=True)
@@ -137,17 +146,9 @@ def exit_time_study(
     if time_cap_factor <= 1.0:
         raise ParameterError(f"time_cap_factor must exceed 1, got {time_cap_factor}")
     predicted = expected_exit_time(a, epsilon, alpha)
-    eps_eff = _effective_epsilon(epsilon, alpha, noise_scaling)
     max_steps = int(np.ceil(time_cap_factor * predicted / eta))
-    c = np.atleast_1d(np.asarray(center, dtype=float))
-    config = SdeConfig(
-        eta=eta,
-        epsilon=eps_eff,
-        alpha=alpha,
-        w0=tuple(c),
-        sigma_brownian=sigma_brownian,
-        max_steps=max_steps,
-    )
+    w0 = tuple(np.atleast_1d(np.asarray(center, dtype=float)))
+    config = _study_config(alpha, epsilon, eta, noise_scaling, w0, max_steps, sigma_brownian)
     records = first_exit_ensemble(config, spec, center, a, xi, rng, n_replicates)
     times = np.array([r.exit_time for r in records if r.exited])
     n_diverged = sum(r.diverged for r in records)
@@ -262,7 +263,7 @@ def transition_study(
     eta: float,
     rng: RngStream,
     n_replicates: int = 300,
-    start_basin: int | None = None,
+    start_basin: int = 0,
     noise_scaling: str = "jump",
     time_cap_factor: float = 8.0,
 ) -> TransitionStudy:
@@ -276,20 +277,11 @@ def transition_study(
     if spec.minima is None:
         raise ParameterError("transition study needs an objective with declared geometry")
     Q = generator_matrix(spec.minima, spec.saddles, alpha).Q
-    if start_basin is None:
-        start_basin = 0
     w0 = start_minimum(spec, start_basin)
     rate_out = float(-Q[start_basin, start_basin])
     predicted = epsilon**-alpha / rate_out
-    eps_eff = _effective_epsilon(epsilon, alpha, noise_scaling)
     max_steps = int(np.ceil(time_cap_factor * predicted / eta))
-    config = SdeConfig(
-        eta=eta,
-        epsilon=eps_eff,
-        alpha=alpha,
-        w0=(w0,),
-        max_steps=max_steps,
-    )
+    config = _study_config(alpha, epsilon, eta, noise_scaling, (w0,), max_steps)
     records, diverged = first_transition_ensemble(config, spec, delta, rng, n_replicates)
     if not records:
         raise ParameterError("no replicate transitioned; raise time_cap_factor or epsilon")
@@ -358,28 +350,23 @@ def occupancy_study(
     rng: RngStream,
     n_replicates: int = 8,
     n_steps: int = 1_000_000,
-    burn_in_fraction: float = 0.1,
     noise_scaling: str = "jump",
-    w0: tuple[float, ...] | None = None,
 ) -> OccupancyStudy:
     """Compare pooled valley occupancy to the stationary chain distribution.
 
-    Lanes start at the deepest minimum unless w0 is given; the leading
-    burn_in fraction of every lane is dropped before counting.
+    Every lane starts at the deepest minimum and runs ``n_steps`` steps on its
+    own substream of ``rng``; its first tenth (``n_steps // 10`` steps) is
+    dropped as burn-in before its valley visits are counted.  The row reports
+    the pooled fractions against the stationary law ``pi`` of the hopping
+    chain, their largest absolute difference, and how many lanes diverged.
     """
     if spec.minima is None:
         raise ParameterError("occupancy study needs an objective with declared geometry")
-    if not (0.0 <= burn_in_fraction < 1.0):
-        raise ParameterError(f"burn_in_fraction must lie in [0, 1), got {burn_in_fraction}")
     model = solved_model(spec.minima, spec.saddles, alpha)
-    if w0 is None:
-        f_vals = [spec.f(np.asarray(m)) for m in spec.minima]
-        w0 = (float(spec.minima[int(np.argmin(f_vals))]),)
-    eps_eff = _effective_epsilon(epsilon, alpha, noise_scaling)
-    burn_in = int(burn_in_fraction * n_steps)
-    config = SdeConfig(
-        eta=eta, epsilon=eps_eff, alpha=alpha, w0=w0, max_steps=n_steps
-    )
+    f_vals = [spec.f(np.asarray(m)) for m in spec.minima]
+    w0 = (float(spec.minima[int(np.argmin(f_vals))]),)
+    burn_in = n_steps // 10
+    config = _study_config(alpha, epsilon, eta, noise_scaling, w0, n_steps)
     fractions, n_diverged = occupancy_ensemble(config, spec, rng, n_replicates, burn_in)
     pi = np.asarray(model.pi)
     err = float(np.max(np.abs(fractions - pi)))

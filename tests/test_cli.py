@@ -1,4 +1,5 @@
 import json
+import struct
 import time
 
 import pytest
@@ -306,3 +307,82 @@ def test_every_csv_cell_follows_the_format_rules(tmp_path, monkeypatch, command)
             assert not {"True", "False", "None"} & set(cells), f"{path.name}: {line!r}"
             assert "np." not in line, f"{path.name}: {line!r}"
         assert all(len(line.split(",")) == len(header) for line in body[1:]), path.name
+
+
+_MNIST = ("--source mnist --images {d}/im --labels {d}/lb --test_images {d}/im"
+          " --test_labels {d}/lb")
+_TRAIN = "train --width 4 --b 10 --iters 2 --log_every 1"
+_SWEEP = "sweep --widths 4 --batch_sizes 10 --etas 0.1 --iters 2"
+_CONVERGE = "converge --d 2 --ks 20,40 --reps 3"
+_EXIT = "exit-time --alpha 1.6 --eps 0.5 --a 0.5 --eta 0.01 --reps 5"
+_BLOBS = "--n 40 --classes 2 --dim 3"
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        pytest.param(f"{_EXIT} --objective quadratic --start_basin 7 --m1 5", "m1",
+                     id="exit-time-quadratic-well"),
+        pytest.param(f"{_EXIT} --objective quadratic --start_basin 1", "start_basin",
+                     id="exit-time-quadratic-start_basin"),
+        pytest.param(f"{_EXIT} --objective double_well --dim 3", "dim",
+                     id="exit-time-double_well-dim"),
+        pytest.param("stability --n 600 --source gaussian --alpha 1.3", "alpha",
+                     id="stability-gaussian-alpha"),
+        pytest.param("stability --n 600 --source mixture --alpha 1.3", "alpha",
+                     id="stability-mixture-alpha"),
+        pytest.param("stability --n 600 --source sas --alpha 1.5 --shift 3", "shift",
+                     id="stability-sas-shift"),
+        pytest.param(f"{_CONVERGE} --sigma_samples 500 --noise gaussian --alpha 1.1",
+                     "alpha", id="converge-gaussian-alpha"),
+        pytest.param(f"{_CONVERGE} --sigma_samples 500 --eta 0.01 --c 2", "c",
+                     id="converge-eta-c"),
+        pytest.param(f"{_CONVERGE} --sigma_gamma 1.0 --sigma_samples 500", "sigma_samples",
+                     id="converge-sigma_gamma-sigma_samples"),
+        pytest.param(f"{_TRAIN} {_BLOBS} --images foo --subsample 7", "images",
+                     id="train-blobs-images"),
+        pytest.param(f"{_SWEEP} {_BLOBS} --subsample 7", "subsample",
+                     id="sweep-blobs-subsample"),
+        pytest.param(f"{_TRAIN} {_MNIST} --n 100", "n", id="train-mnist-n"),
+        pytest.param(f"{_SWEEP} {_MNIST} --spread 3", "spread", id="sweep-mnist-spread"),
+        pytest.param(f"{_TRAIN} {_BLOBS} --inject_scale 50", "inject_scale",
+                     id="train-inject_scale"),
+    ],
+)
+def test_unread_key_is_rejected(tmp_path, monkeypatch, capsys, argv, key):
+    data = tmp_path / "data"
+    data.mkdir()
+    data.joinpath("im").write_bytes(struct.pack(">IIII", 0x803, 20, 2, 2) + bytes(range(80)))
+    data.joinpath("lb").write_bytes(struct.pack(">II", 0x801, 20) + bytes([0, 1] * 10))
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.setenv("LEVYLAB_OUT", str(out))
+    assert main(argv.format(d=data).split()) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert f"key '{key}' is not read" in record["message"]
+    assert not list(out.iterdir())
+
+
+def test_default_valued_unread_key_is_accepted(tmp_path, monkeypatch):
+    for sub, extra in (("plain", []), ("flagged", ["--m1", "-1.0", "--start_basin", "0"])):
+        (tmp_path / sub).mkdir()
+        monkeypatch.setenv("LEVYLAB_OUT", str(tmp_path / sub))
+        assert main([*_EXIT.split(), "--objective", "quadratic", *extra]) == 0
+    plain, flagged = ((tmp_path / sub / "exit-time.csv").read_text().splitlines()
+                      for sub in ("plain", "flagged"))
+    assert [l for l in plain if not l.startswith("# wall_time_s")] == [
+        l for l in flagged if not l.startswith("# wall_time_s")
+    ]
+
+
+def test_config_file_command_must_match_argv(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.setenv("LEVYLAB_OUT", str(out))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = sample\nalpha = 1.5\nn = 10\n")
+    assert main(["estimate", "--config", str(cfg)]) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert "'sample'" in message and "'estimate'" in message
+    assert not list(out.iterdir())
