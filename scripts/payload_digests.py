@@ -42,6 +42,8 @@ RUNS = [
     " --measure_c_st true --seed 8",
     "train --n 240 --dim 5 --classes 3 --width 8 --depth 2 --b 20 --iters 11 --log_every 10"
     " --seed 8 --output train-depth2.csv",
+    "train --n 240 --dim 5 --classes 3 --width 8 --b 20 --iters 11 --log_every 10"
+    " --inject_alpha 1.3 --inject_scale 2 --seed 8 --output train-inject.csv",
     "sweep --n 40 --classes 2 --dim 5 --widths 8 --batch_sizes 20 --etas 0.001,1e60"
     " --iters 5 --seed 9",
 ]

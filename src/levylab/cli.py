@@ -53,7 +53,6 @@ from .tail_index import TAIL_ESTIMATE_HEADER, choose_block_size, estimate_alpha
 from .training import (
     SWEEP_CELL_HEADER,
     SWEEP_GROUP_HEADER,
-    InjectedNoise,
     noise_scale_sweep,
     train_log_header,
     train_with_tail_logging,
@@ -328,6 +327,17 @@ def _resolve_path(path: str) -> str:
     return os.path.join(os.environ.get(OUT_DIR_ENV, "."), path)
 
 
+def _check_output_dirs(config: ExperimentConfig) -> None:
+    """Refuse a run whose output files (``output``, then ``records_output`` or
+    ``groups_output`` when set) would land in a missing directory."""
+    p = config.parameters
+    extra = [p[k] for k in ("records_output", "groups_output") if k in p and p[k]]
+    for path in (config.output_path, *extra):
+        folder = os.path.dirname(_resolve_path(path)) or "."
+        if not os.path.isdir(folder):
+            raise ConfigError(f"output directory {folder!r} of {path!r} does not exist")
+
+
 def _write_csv(path: str, config: ExperimentConfig, wall: float,
                header: str, rows: list[str], partial: bool = False,
                trailer: tuple[str, ...] | list[str] = ()) -> None:
@@ -454,6 +464,9 @@ def _run_converge(config: ExperimentConfig):
     kind = p["noise"]
     if kind not in ("sas", "gaussian"):
         raise ConfigError(f"converge: noise must be 'sas' or 'gaussian', got {kind!r}")
+    if len(p["ks"]) < 2:
+        raise ConfigError(f"converge: key 'ks' needs two or more K values to fit a slope, "
+                          f"got {format_cell(p['ks'])}")
     if kind == "gaussian":
         _reject_unread(config, "noise = gaussian", "alpha")
     if p["eta"] > 0.0:
@@ -519,7 +532,7 @@ def _run_train(config: ExperimentConfig):
         raise ConfigError(f"train: depth must be >= 1, got {p['depth']}")
     injection = None
     if p["inject_alpha"] > 0.0:
-        injection = InjectedNoise(p["inject_alpha"], p["inject_scale"])
+        injection = GradientNoise("sas", p["inject_alpha"], p["inject_scale"])
     else:
         _reject_unread(config, "inject_alpha <= 0", "inject_scale")
     rng = RngStream(p["seed"])
@@ -616,6 +629,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         command, file_text, flags = _parse_argv(argv)
         config = parse_config(file_text, command_override=command, overrides=flags)
+        _check_output_dirs(config)
         start = time.monotonic()
         out_path = _resolve_path(config.output_path)
         result = _RUNNERS[config.command](config)

@@ -242,12 +242,17 @@ def run_convergence(
     return rows
 
 
+def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of log y against log x."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size != y.size or x.size < 2:
+        raise ParameterError("slope fit needs two same-length arrays with >= 2 points")
+    if np.any(x <= 0) or np.any(y <= 0):
+        raise ParameterError("slope fit needs strictly positive values")
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+
+
 def fitted_rate_slope(rows: list[ConvergenceRow]) -> float:
     """Log-log slope of the measured minima against K."""
-    if len(rows) < 2:
-        raise ParameterError("need at least two sweep points to fit a slope")
-    ks = np.array([r.K for r in rows], dtype=float)
-    ys = np.array([r.min_grad_sq_mean for r in rows], dtype=float)
-    if np.any(ys <= 0):
-        raise ParameterError("nonpositive measured minima; cannot fit log-log slope")
-    return float(np.polyfit(np.log(ks), np.log(ys), 1)[0])
+    return fit_loglog_slope([r.K for r in rows], [r.min_grad_sq_mean for r in rows])

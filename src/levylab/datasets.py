@@ -15,7 +15,7 @@ IDX_LABELS_MAGIC = 0x00000801
 
 
 class IdxFormatError(ConfigError):
-    """Malformed IDX file; message carries the byte offset of the problem."""
+    """Unreadable or malformed IDX file; a format message carries the byte offset."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +52,11 @@ class DatasetSplit:
 
 
 def _read_idx(path: str, expected_magic: int, expected_dims: int):
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise IdxFormatError(f"cannot read IDX file {path!r}: {exc}") from None
     if len(raw) < 4:
         raise IdxFormatError(f"{path}: truncated header at byte 0")
     (magic,) = struct.unpack(">I", raw[:4])

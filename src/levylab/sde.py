@@ -99,7 +99,6 @@ class ExitTimeRecord:
     exit_time: float | None
     radius_a: float
     margin_xi: float
-    center: tuple[float, ...]
     diverged: bool = False
 
     def csv_row(self) -> str:
@@ -315,7 +314,6 @@ def first_exit_ensemble(
             exit_time=hit * config.eta if hit >= 0 else None,
             radius_a=a,
             margin_xi=xi,
-            center=tuple(c),
             diverged=div,
         )
         for r, (hit, div) in enumerate(zip(hit_step.tolist(), diverged.tolist()))

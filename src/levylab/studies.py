@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .convergence import fit_loglog_slope
 from .csvfmt import format_row
 from .errors import ParameterError
 from .metastability import exit_rate, expected_exit_time, generator_matrix, solved_model
@@ -59,17 +60,6 @@ def ks_distance_exponential(values: np.ndarray, rate: float) -> float:
     d_plus = np.max(i / n - cdf)
     d_minus = np.max(cdf - (i - 1) / n)
     return float(max(d_plus, d_minus))
-
-
-def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Least-squares slope of log y against log x."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size != y.size or x.size < 2:
-        raise ParameterError("slope fit needs two same-length arrays with >= 2 points")
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ParameterError("slope fit needs strictly positive values")
-    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
 def start_minimum(spec: ObjectiveSpec, start_basin: int) -> float:
@@ -193,32 +183,20 @@ def exit_scaling_study(
     eta: float,
     rng: RngStream,
     n_replicates: int = 300,
-    noise_scaling: str = "jump",
-    time_cap_factor: float = 8.0,
 ) -> ExitScalingStudy:
     """Fit the growth of the mean exit time against 1/epsilon.
 
     The law predicts mean = (alpha/2) a^alpha eps^-alpha, so the log-log
-    slope against 1/epsilon is alpha.  Each epsilon gets its own substream.
+    slope against 1/epsilon is alpha.  Each epsilon gets its own substream
+    and runs at the default noise scaling and time cap of ``exit_time_study``.
     """
     if len(epsilons) < 2:
         raise ParameterError("need at least two epsilon values")
-    studies = []
-    for i, eps in enumerate(epsilons):
-        studies.append(
-            exit_time_study(
-                spec,
-                center,
-                alpha,
-                eps,
-                a,
-                eta,
-                rng.substream(i),
-                n_replicates=n_replicates,
-                noise_scaling=noise_scaling,
-                time_cap_factor=time_cap_factor,
-            )
-        )
+    studies = [
+        exit_time_study(spec, center, alpha, eps, a, eta, rng.substream(i),
+                        n_replicates=n_replicates)
+        for i, eps in enumerate(epsilons)
+    ]
     means = np.array([s.mean_exit_time for s in studies])
     slope = fit_loglog_slope(1.0 / np.asarray(epsilons), means)
     return ExitScalingStudy(

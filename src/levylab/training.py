@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .convergence import GradientNoise
 from .csvfmt import format_row
 from .datasets import DatasetSplit
 from .errors import DegenerateInputError, ParameterError
 from .mlp import MlpModel, accuracy, forward_backward, init_mlp
 from .rng import RngStream
 from .stability import stability_condition
-from .stable import sample_standard_sas
 from .tail_index import TailEstimate, choose_block_size, estimate_alpha
 
 
@@ -43,20 +43,6 @@ class TrainLogRow:
     def csv_row(self) -> str:
         return format_row(self.iteration, self.train_acc, self.test_acc, self.loss,
                           self.alpha_whole, self.alpha_layers, self.c_st)
-
-
-@dataclass(frozen=True)
-class InjectedNoise:
-    """Synthetic stable noise substituted for the measured pool."""
-
-    alpha: float
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 2.0):
-            raise ParameterError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if self.scale <= 0.0:
-            raise ParameterError(f"scale must be positive, got {self.scale}")
 
 
 def noise_pool_grads(
@@ -112,15 +98,14 @@ def _log_metrics(
     b: int,
     loss_kind: str,
     iteration: int,
-    injection: InjectedNoise | None,
+    injection: GradientNoise | None,
     measure_c_st: bool,
     rng: RngStream,
 ) -> TrainLogRow:
     loss, g_full, grads = noise_pool_grads(model, data, b, loss_kind)
     if injection is not None:
         gen = rng.substream(iteration, 0).generator()
-        synth = injection.scale * sample_standard_sas(injection.alpha, grads.shape, gen)
-        grads = g_full[None, :] + synth
+        grads = g_full[None, :] + injection.sample(grads.shape, gen)
     estimates = layerwise_alpha(g_full, grads, model)
     c_st = None
     if measure_c_st:
@@ -148,13 +133,15 @@ def train_with_tail_logging(
     rng: RngStream,
     log_every: int = 100,
     measure_c_st: bool = False,
-    injection: InjectedNoise | None = None,
+    injection: GradientNoise | None = None,
 ) -> list[TrainLogRow]:
     """Plain constant-stepsize SGD, logging tail metrics every log_every steps.
 
     No momentum or weight decay.  Logging happens before the update at that
     iteration; training stops early once a logging step sees 100% train
-    accuracy.  Fixed streams make the row sequence deterministic.
+    accuracy.  Fixed streams make the row sequence deterministic.  With
+    ``injection`` set, each logging step measures draws of that noise in place
+    of the minibatch deviations, so the estimators see a pool of known alpha.
     """
     if eta <= 0.0:
         raise ParameterError(f"eta must be positive, got {eta}")
@@ -243,16 +230,21 @@ def noise_scale_sweep(
     Every cell trains a fresh mean-field-initialized network; cells whose
     loss or parameters leave float range are flagged divergent and excluded
     from group averages.  Groups collect cells with exactly equal eta/b
-    (the usual dyadic grids make those ratios float-exact).
+    (the usual dyadic grids make those ratios float-exact).  The whole grid
+    is checked before the first cell trains.
     """
     if not (widths and depths and batch_sizes and etas):
         raise ParameterError("sweep grid must be nonempty in every dimension")
+    for depth in depths:
+        if depth < 2:
+            raise ParameterError(f"depth must be >= 2 weight layers, got {depth}")
+    for b in batch_sizes:
+        if not (1 <= b <= data.n_train):
+            raise ParameterError(f"batch size {b} must lie in [1, {data.n_train}]")
     cells = []
     cell_id = 0
     for width in widths:
         for depth in depths:
-            if depth < 2:
-                raise ParameterError(f"depth must be >= 2 weight layers, got {depth}")
             sizes = (data.input_dim, *([width] * (depth - 1)), data.n_classes)
             for b in batch_sizes:
                 for eta in etas:

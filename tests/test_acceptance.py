@@ -27,11 +27,7 @@ from levylab.stability import stability_condition
 from levylab.stable import sample_standard_sas
 from levylab.studies import exit_scaling_study, exit_time_study, occupancy_study
 from levylab.tail_index import estimate_alpha
-from levylab.training import (
-    InjectedNoise,
-    noise_pool_grads,
-    train_with_tail_logging,
-)
+from levylab.training import noise_pool_grads, train_with_tail_logging
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -41,17 +37,20 @@ def _verdict(name: str, ok: bool, detail: str) -> None:
 
 
 def test_estimator_accuracy():
-    worst_bias, worst_std = 0.0, 0.0
+    worst_bias, worst_std, per_alpha = 0.0, 0.0, []
     for i, alpha in enumerate((0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0)):
         gen = RngStream(200).substream(i).generator()
         draws = sample_standard_sas(alpha, (100, 100_000), gen)
         hats = np.array([estimate_alpha(row, 100).alpha_hat for row in draws])
-        worst_bias = max(worst_bias, abs(hats.mean() - alpha))
-        worst_std = max(worst_std, hats.std(ddof=1))
+        bias, std = hats.mean() - alpha, hats.std(ddof=1)
+        worst_bias = max(worst_bias, abs(bias))
+        worst_std = max(worst_std, std)
+        per_alpha.append(f"{alpha:.1f}: {bias:+.4f}/{std:.4f}")
     _verdict(
         "estimator accuracy",
         worst_bias <= 0.05 and worst_std < 0.1,
-        f"max |mean bias| {worst_bias:.4f} <= 0.05, max std {worst_std:.4f} < 0.1",
+        f"max |mean bias| {worst_bias:.4f} <= 0.05, max std {worst_std:.4f} < 0.1; "
+        f"bias/std by alpha {', '.join(per_alpha)}",
     )
 
 
@@ -99,7 +98,8 @@ def test_metastable_occupancy():
         "metastable occupancy",
         ok,
         f"occupancy error {study.max_abs_error:.4f} <= 0.05, "
-        f"closed-form pi error {pi_err:.1e} < 1e-12",
+        f"closed-form pi error {pi_err:.1e} < 1e-12; fraction/pi by valley "
+        + ", ".join(f"{f:.4f}/{p:.4f}" for f, p in zip(study.fractions, study.pi)),
     )
 
 
@@ -208,7 +208,7 @@ def test_desk_scale_training_tails():
     inj_model = init_mlp((20, 128, 128, 10), RngStream(264))
     inj_rows = train_with_tail_logging(
         inj_model, data, 100, 0.1, 1, "nll", RngStream(273),
-        log_every=1, injection=InjectedNoise(alpha=1.3),
+        log_every=1, injection=GradientNoise("sas", 1.3),
     )
     inj_alpha = inj_rows[0].alpha_whole
     ok = alphas.max() < 1.8 and spread <= 0.3 and abs(inj_alpha - 1.3) <= 0.1

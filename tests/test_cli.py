@@ -386,3 +386,54 @@ def test_config_file_command_must_match_argv(tmp_path, monkeypatch, capsys):
     message = json.loads(capsys.readouterr().err)["message"]
     assert "'sample'" in message and "'estimate'" in message
     assert not list(out.iterdir())
+
+
+def test_missing_idx_file_is_a_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LEVYLAB_OUT", str(tmp_path))
+    missing = tmp_path / "nope"
+    argv = (f"train --source mnist --images {missing} --labels {missing}"
+            f" --test_images {missing} --test_labels {missing}")
+    assert main(argv.split()) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "IdxFormatError" and str(missing) in record["message"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "out_dir, argv",
+    [
+        pytest.param("missing", "estimate --alpha 1.5 --n 10", id="out-dir-env"),
+        pytest.param(".", "estimate --alpha 1.5 --n 10 --output missing/e.csv", id="output"),
+        pytest.param(".", f"{_EXIT} --records_output missing/r.csv", id="records_output"),
+        pytest.param(".", f"{_SWEEP} {_BLOBS} --groups_output missing/g.csv",
+                     id="groups_output"),
+    ],
+)
+def test_missing_output_directory_fails_before_the_run(tmp_path, monkeypatch, capsys,
+                                                        out_dir, argv):
+    import levylab.cli as cli
+
+    def no_run(config):
+        raise AssertionError("the run started before its output directory was checked")
+
+    monkeypatch.setitem(cli._RUNNERS, argv.split()[0], no_run)
+    monkeypatch.setenv("LEVYLAB_OUT", str(tmp_path / out_dir))
+    assert main(argv.split()) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError" and "missing" in record["message"]
+    assert "does not exist" in record["message"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_converge_needs_two_ks_before_any_chain(tmp_path, monkeypatch, capsys):
+    import levylab.cli as cli
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain ran before ks was checked")
+
+    monkeypatch.setattr(cli, "estimate_sigma_gamma", no_chain)
+    monkeypatch.setattr(cli, "run_convergence", no_chain)
+    monkeypatch.setenv("LEVYLAB_OUT", str(tmp_path))
+    assert main(["converge", "--ks", "20000", "--reps", "50"]) == 2
+    assert "'ks'" in json.loads(capsys.readouterr().err)["message"]
+    assert not list(tmp_path.iterdir())

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from levylab import training
+from levylab.convergence import GradientNoise
 from levylab.datasets import synthetic_blobs
 from levylab.errors import ParameterError, ShapeError
 from levylab.mlp import MlpModel, accuracy, forward_backward, init_mlp
 from levylab.rng import RngStream
 from levylab.stable import StableParams, sample_sas, sample_standard_sas
 from levylab.training import (
-    InjectedNoise,
     layerwise_alpha,
     noise_pool_grads,
     noise_scale_sweep,
@@ -189,7 +190,7 @@ def test_injection_recovers_planted_alpha():
     model = init_mlp((10, 64, 64, 2), RngStream(143))
     rows = train_with_tail_logging(
         model, data, 10, 0.01, 1, "nll", RngStream(144),
-        log_every=1, injection=InjectedNoise(alpha=1.3, scale=1.0),
+        log_every=1, injection=GradientNoise("sas", 1.3, 1.0),
     )
     assert len(rows) == 1
     assert rows[0].alpha_whole == pytest.approx(1.3, abs=0.1)
@@ -250,3 +251,15 @@ def test_sweep_flags_divergent_cells():
     assert groups[0].n_diverged == 1 and np.isnan(groups[0].mean_test_error)
     with pytest.raises(ParameterError):
         noise_scale_sweep(data, (8,), (1,), (20,), (0.1,), "nll", 5, RngStream(0))
+
+
+@pytest.mark.parametrize("depths, batch_sizes", [((2, 1), (20,)), ((2,), (20, 50))])
+def test_sweep_checks_its_grid_before_the_first_cell(monkeypatch, depths, batch_sizes):
+    data = synthetic_blobs(40, 5, 2, 1.0, RngStream(154))
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a cell trained before the grid was checked")
+
+    monkeypatch.setattr(training, "init_mlp", no_training)
+    with pytest.raises(ParameterError):
+        noise_scale_sweep(data, (8,), depths, batch_sizes, (0.1,), "nll", 5, RngStream(155))
