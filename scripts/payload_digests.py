@@ -2,7 +2,8 @@
 """Print `sha256  file` for the payload of every CLI command at small fixed configs.
 
 The one acceptance study without a command, `occupancy_study`, is run too and
-its header and row are hashed as `occupancy_study.csv`.
+its header and row are hashed as `occupancy_study.csv`.  The 33-replicate
+exit-time run spans two lane tiles of the engine, the second with one lane.
 
 Each command writes into a fresh temporary $LEVYLAB_OUT; the wall-time line
 is stripped before hashing, so two checkouts that produce the same payloads
@@ -31,6 +32,9 @@ RUNS = [
     "exit-time --objective quadratic --dim 2 --alpha 1.8 --eps 0.1 --a 1.0 --eta 0.01"
     " --reps 20 --noise_scaling cf --time_cap_factor 1.1 --seed 4 --output exit-2d.csv"
     " --records_output exit-2d-records.csv",
+    "exit-time --objective quadratic --alpha 1.5 --eps 0.1 --a 1.0 --eta 0.01 --reps 33"
+    " --time_cap_factor 2 --seed 11 --output exit-tiles.csv"
+    " --records_output exit-tiles-records.csv",
     "exit-time --objective double_well --start_basin 1 --alpha 1.5 --eps 0.5 --a 0.5"
     " --eta 0.01 --reps 20 --seed 5 --output exit-well.csv"
     " --records_output exit-well-records.csv",

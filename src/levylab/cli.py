@@ -464,8 +464,8 @@ def _run_converge(config: ExperimentConfig):
     kind = p["noise"]
     if kind not in ("sas", "gaussian"):
         raise ConfigError(f"converge: noise must be 'sas' or 'gaussian', got {kind!r}")
-    if len(p["ks"]) < 2:
-        raise ConfigError(f"converge: key 'ks' needs two or more K values to fit a slope, "
+    if len(set(p["ks"])) < 2:
+        raise ConfigError(f"converge: key 'ks' needs two or more distinct K values to fit a slope, "
                           f"got {format_cell(p['ks'])}")
     if kind == "gaussian":
         _reject_unread(config, "noise = gaussian", "alpha")

@@ -248,6 +248,8 @@ def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 2:
         raise ParameterError("slope fit needs two same-length arrays with >= 2 points")
+    if x.min() == x.max():
+        raise ParameterError("slope fit needs two distinct x values")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ParameterError("slope fit needs strictly positive values")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])

@@ -13,12 +13,14 @@ a finer step discretizes the same continuous-time process.
 
 One chunked engine advances every simulation: lanes move in lockstep, each
 on its own substream, and an observer (first exit, first transition, valley
-counts, stored path) sees each chunk once.  A lane's path depends on its
-stream alone, so it is reproducible per replicate, the same at any ensemble
-size, and invariant under changes of the stopping rule (enlarging an exit
-radius can only delay the recorded exit on the same path).  Ensembles scan
-a chunk exactly when the objective declares linear drift with
-0 < 1 - eta*rate < 1; ``simulate`` always takes the per-step update.
+counts, stored path) sees each chunk once, tile by tile.  A lane's path
+depends on its stream alone, so it is reproducible per replicate, the same
+at any ensemble size and thread count, and invariant under changes of the
+stopping rule (enlarging an exit radius can only delay the recorded exit on
+the same path).  Ensembles scan a chunk exactly when the objective declares
+linear drift with 0 < 1 - eta*rate < 1, in tiles of TILE lanes that run on
+one thread per usable CPU; the per-step update (always taken by
+``simulate``) runs all lanes as one tile on the calling thread.
 Extreme draws are never truncated; an iterate that leaves float range halts
 its path with a divergence marker, which exit measurements count separately
 and never silently merge into exit statistics.
@@ -27,7 +29,9 @@ and never silently merge into exit statistics.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,6 +42,7 @@ from .rng import RngStream
 from .stable import sample_standard_sas
 
 CHUNK_CAP = 8192
+TILE = 32
 
 EXIT_RECORD_HEADER = "replicate,exited,exit_step,exit_time,radius_a,margin_xi,diverged"
 TRANSITION_RECORD_HEADER = "replicate,start_basin,end_basin,transition_step,transition_time"
@@ -180,13 +185,42 @@ def _scan_chunk_linear(inc, wa, rate, center, eta):
         inc += center
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _fill_and_scan(config, gens, lanes, wa, L, scan):
+    """Noise fill and scan of one tile; returns its (T, L, d) positions and (T, L) finite mask.
+
+    numpy's error state belongs to the thread's context, so a pool thread
+    does not see the caller's and the task enters its own.
+    """
+    with np.errstate(all="ignore"):
+        W = np.empty((lanes.size, L, config.dim))
+        for i, rid in enumerate(lanes):
+            W[i] = noise_increments(config, L, gens[rid])
+        scan(W, wa)
+        return W, np.isfinite(W).all(axis=2)
+
+
 def _run_lanes(config, spec, streams, observe, literal=False):
     """Advance one lane per stream, chunk by chunk, until all retire or time out.
 
-    ``observe(lanes, done, W, finite)`` gets the running lane ids, the steps
-    before the chunk, the (A, L, d) positions and their (A, L) finite mask; it
-    returns the mask (or False) of lanes it is done with.  Lanes that reach a
-    non-finite iterate retire too.  ``literal`` forces the per-step update.
+    ``observe(lanes, done, W, finite)`` gets the running lane ids of one tile,
+    the steps before the chunk, the tile's (T, L, d) positions and their
+    (T, L) finite mask; it returns the mask (or False) of lanes it is done
+    with.  Lanes that reach a non-finite iterate retire too.  ``literal``
+    forces the per-step update.
+
+    Under the linear scan a chunk's lanes split into tiles of TILE lanes,
+    filled and scanned on one thread per usable CPU when there are two or
+    more; the per-step scan keeps all lanes in one tile on the calling
+    thread.  Observers always run on the calling thread, tile by tile in
+    lane order, and the next chunk starts only after every tile is observed,
+    so a lane's generator is used by one thread at a time.
     """
     if spec.dim != config.dim:
         raise ParameterError(f"objective dim {spec.dim} != config dim {config.dim}")
@@ -195,25 +229,40 @@ def _run_lanes(config, spec, streams, observe, literal=False):
     if drift is not None and not (0.0 < 1.0 - eta * drift[0] < 1.0):
         drift = None
     gens = [s.generator() for s in streams]
+    if drift is None:
+        tile, scan = len(gens), partial(_scan_chunk_generic, spec=spec, eta=eta)
+    else:
+        tile = TILE
+        scan = partial(_scan_chunk_linear, rate=drift[0], center=np.asarray(drift[1]), eta=eta)
     w = np.tile(np.asarray(config.w0), (len(gens), 1))
     active = np.arange(len(gens))
     done = 0
     L0 = _chunk_len(eta, config.max_steps)
-    with np.errstate(all="ignore"):
-        while active.size and done < config.max_steps:
-            L = min(L0, config.max_steps - done)
-            W = np.empty((active.size, L, config.dim))
-            for i, rid in enumerate(active):
-                W[i] = noise_increments(config, L, gens[rid])
-            if drift is None:
-                _scan_chunk_generic(W, w[active], spec, eta)
-            else:
-                _scan_chunk_linear(W, w[active], drift[0], np.asarray(drift[1]), eta)
-            finite = np.isfinite(W).all(axis=2)
-            retire = observe(active, done, W, finite) | ~finite.all(axis=1)
-            w[active] = W[:, -1]
-            active = active[~retire]
-            done += L
+    pool = None
+    if tile < len(gens) and _usable_cpus() > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(_usable_cpus())
+    try:
+        with np.errstate(all="ignore"):
+            while active.size and done < config.max_steps:
+                L = min(L0, config.max_steps - done)
+                tiles = [active[s : s + tile] for s in range(0, active.size, tile)]
+                tasks = [(config, gens, lanes, w[lanes], L, scan) for lanes in tiles]
+                if pool is None:
+                    results = (_fill_and_scan(*task) for task in tasks)
+                else:
+                    futures = [pool.submit(_fill_and_scan, *task) for task in tasks]
+                    results = (f.result() for f in futures)
+                retire = []
+                for lanes, (W, finite) in zip(tiles, results):
+                    retire.append(observe(lanes, done, W, finite) | ~finite.all(axis=1))
+                    w[lanes] = W[:, -1]
+                active = active[~np.concatenate(retire)]
+                done += L
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def simulate(config: SdeConfig, spec: ObjectiveSpec, rng: RngStream) -> Trajectory:
@@ -270,6 +319,17 @@ def _first_passage(config, spec, rng, n_replicates, detector):
     return hit_step, payload, diverged
 
 
+def _outside_ball(W, c, thr):
+    """(A, L) mask of the (A, L, d) positions farther than thr from c."""
+    if W.shape[2] == 1:
+        # sqrt(fl(x*x)) == |x| wherever x*x is a normal float, so this decides
+        # as the distance does for every thr whose square is a normal float
+        dev = W[:, :, 0] - c[0]
+        np.abs(dev, out=dev)
+        return dev > thr
+    return np.sqrt(np.sum((W - c[None, None, :]) ** 2, axis=2)) > thr
+
+
 def first_exit_ensemble(
     config: SdeConfig,
     spec: ObjectiveSpec,
@@ -301,11 +361,9 @@ def first_exit_ensemble(
         )
     thr = a + xi
 
-    def detector(W):
-        dist = np.sqrt(np.sum((W - c[None, None, :]) ** 2, axis=2))
-        return dist > thr, None
-
-    hit_step, _, diverged = _first_passage(config, spec, rng, n_replicates, detector)
+    hit_step, _, diverged = _first_passage(
+        config, spec, rng, n_replicates, lambda W: (_outside_ball(W, c, thr), None)
+    )
     return [
         ExitTimeRecord(
             replicate=r,

@@ -434,6 +434,8 @@ def test_converge_needs_two_ks_before_any_chain(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "estimate_sigma_gamma", no_chain)
     monkeypatch.setattr(cli, "run_convergence", no_chain)
     monkeypatch.setenv("LEVYLAB_OUT", str(tmp_path))
-    assert main(["converge", "--ks", "20000", "--reps", "50"]) == 2
-    assert "'ks'" in json.loads(capsys.readouterr().err)["message"]
-    assert not list(tmp_path.iterdir())
+    for argv in (["--ks", "20000", "--reps", "50"],
+                 ["--d", "2", "--ks", "20,20", "--reps", "3", "--sigma_samples", "500"]):
+        assert main(["converge", *argv]) == 2
+        assert "'ks'" in json.loads(capsys.readouterr().err)["message"]
+        assert not list(tmp_path.iterdir())

@@ -1,4 +1,6 @@
 import dataclasses
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +33,21 @@ def _undeclared(spec):
 
 def _outcomes(records):
     return [(r.exited, r.exit_step, r.diverged) for r in records]
+
+
+def _threads(monkeypatch, n):
+    """Run the engine as if n CPUs were usable."""
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: n)
+
+
+class _Alone:
+    """Stream whose replicate 0 is replicate r of rng: runs r as a one-lane ensemble."""
+
+    def __init__(self, rng, r):
+        self.rng, self.r = rng, r
+
+    def substream(self, i):
+        return self.rng.substream(self.r + i)
 
 
 def _declared_fast(monkeypatch, *args):
@@ -227,27 +244,123 @@ def test_linear_scan_shifted_center_matches_generic(monkeypatch):
 
 
 @pytest.mark.parametrize("declared", [True, False], ids=["linear", "generic"])
-def test_exit_record_independent_of_ensemble_size(declared):
-    # replicate r runs on its own substream, whoever runs beside it
+def test_exit_record_independent_of_ensemble_size(declared, monkeypatch):
+    # replicate r runs on its own substream, whoever runs beside it and
+    # however many threads run the lane tiles
     spec = quadratic(1) if declared else _undeclared(quadratic(1))
     config = _cfg(eta=0.01, epsilon=0.1, alpha=1.5, w0=(0.0,), max_steps=10_000)
-    full = first_exit_ensemble(config, spec, 0.0, 1.0, 0.0, RngStream(121), 64)
-    assert 0 < sum(r.exited for r in full) < 64
-    for r in (0, 1, 17, 63):
-        small = first_exit_ensemble(config, spec, 0.0, 1.0, 0.0, RngStream(121), r + 1)
-        assert small[r] == full[r]
+    runs = []
+    for threads in (1, 2, 3):
+        _threads(monkeypatch, threads)
+        full = first_exit_ensemble(config, spec, 0.0, 1.0, 0.0, RngStream(121), 64)
+        assert 0 < sum(r.exited for r in full) < 64
+        for r in (0, 1, 17, 63):
+            small = first_exit_ensemble(config, spec, 0.0, 1.0, 0.0, RngStream(121), r + 1)
+            assert small[r] == full[r]
+        runs.append(full)
+    assert runs[0] == runs[1] == runs[2]
 
 
-def test_transition_record_independent_of_ensemble_size():
+def test_transition_record_independent_of_ensemble_size(monkeypatch):
     config = SdeConfig(eta=1e-3, epsilon=0.15, alpha=1.2, w0=(-1.0,), max_steps=30_000)
     spec = double_well(-1.0, 2.0)
-    full, full_div = first_transition_ensemble(config, spec, 0.2, RngStream(122), 64)
-    by_rep = {rec.replicate: rec for rec in full}
-    assert 0 < len(by_rep) < 64
-    for r in (0, 1, 17, 63):
-        small, small_div = first_transition_ensemble(config, spec, 0.2, RngStream(122), r + 1)
-        assert {rec.replicate: rec for rec in small}.get(r) == by_rep.get(r)
-        assert small_div[r] == full_div[r]
+    for threads in (1, 2, 3):
+        _threads(monkeypatch, threads)
+        full, full_div = first_transition_ensemble(config, spec, 0.2, RngStream(122), 64)
+        by_rep = {rec.replicate: rec for rec in full}
+        assert 0 < len(by_rep) < 64
+        for r in (0, 1, 17, 63):
+            small, small_div = first_transition_ensemble(config, spec, 0.2, RngStream(122), r + 1)
+            assert {rec.replicate: rec for rec in small}.get(r) == by_rep.get(r)
+            assert small_div[r] == full_div[r]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_exit_records_at_tile_edges_equal_lone_runs(monkeypatch, threads):
+    # 31, 32, 33 and 65 lanes: one tile, one full tile, a one-lane second
+    # tile, three tiles; each record equals its replicate run alone
+    config = _cfg(eta=0.01, epsilon=0.1, alpha=1.5, w0=(0.0,), max_steps=6000)
+    spec, rng = quadratic(1), RngStream(123)
+    alone = [dataclasses.replace(first_exit_ensemble(config, spec, 0.0, 1.0, 0.0,
+                                                     _Alone(rng, r), 1)[0], replicate=r)
+             for r in range(65)]
+    assert 0 < sum(r.exited for r in alone) < 65
+    _threads(monkeypatch, threads)
+    on_main = set()
+    draw = sde.noise_increments
+
+    def spy(*args):
+        on_main.add(threading.current_thread() is threading.main_thread())
+        return draw(*args)
+
+    monkeypatch.setattr(sde, "noise_increments", spy)
+    for n in (31, 32, 33, 65):
+        on_main.clear()
+        assert first_exit_ensemble(config, spec, 0.0, 1.0, 0.0, rng, n) == alone[:n]
+        assert on_main == {threads == 1 or n <= sde.TILE}
+
+
+def test_occupancy_with_diverging_lanes_independent_of_threads(monkeypatch):
+    # 100 lanes in four tiles; about a quarter overflow in the exact scan
+    config = SdeConfig(eta=0.01, epsilon=1e294, alpha=0.8, w0=(0.0,), max_steps=6000)
+    runs = []
+    for threads in (1, 2):
+        _threads(monkeypatch, threads)
+        runs.append(occupancy_ensemble(config, quadratic(1), RngStream(130), 100))
+    (frac1, div1), (frac2, div2) = runs
+    assert 0 < div1 < 100
+    assert np.array_equal(frac1, frac2) and div1 == div2
+
+
+@pytest.mark.parametrize("c", [0.0, -2.5])
+@pytest.mark.parametrize("thr", [1.0, 0.3, 1e-100, 1e100])
+def test_1d_exit_detector_decides_like_the_distance(thr, c):
+    edge = [thr, np.nextafter(thr, 0.0), np.nextafter(thr, np.inf)]
+    x = edge + [-v for v in edge] + [0.0, -0.0, np.inf, -np.inf, np.nan,
+                                     5e-324, -5e-324, 1e-310, 1e200, -1e200]
+    W = np.array(x)[None, :, None]
+    center = np.array([c])
+    with np.errstate(all="ignore"):
+        distance = np.sqrt(np.sum((W - center) ** 2, axis=2)) > thr
+    assert np.array_equal(sde._outside_ball(W, center, thr), distance)
+
+
+def test_1d_exit_detector_is_exact_where_the_square_overflows():
+    # (1e160)**2 overflows, so a squared distance put this iterate outside a 1e200 ball
+    W = np.array([1e160, -1e160, 2e200])[None, :, None]
+    assert sde._outside_ball(W, np.zeros(1), 1e200).tolist() == [[False, False, True]]
+
+
+def test_tile_task_error_surfaces_and_threads_stop(monkeypatch):
+    _threads(monkeypatch, 2)
+    rng = RngStream(124)
+    target = rng.substream(40).generator().bit_generator.state
+    boom = ParameterError("lane 40 failed")
+    draw = sde.noise_increments
+
+    def failing(config, n, gen):
+        if gen.bit_generator.state == target:
+            raise boom
+        return draw(config, n, gen)
+
+    monkeypatch.setattr(sde, "noise_increments", failing)
+    before = threading.active_count()
+    with pytest.raises(ParameterError) as err:
+        first_exit_ensemble(_cfg(max_steps=2000), quadratic(1), 0.0, 1.0, 0.0, rng, 65)
+    assert err.value is boom
+    assert threading.active_count() == before
+
+
+def test_threaded_diverging_ensemble_warns_nothing(monkeypatch):
+    # pool threads do not inherit the caller's errstate; overflow in a tile
+    # task must stay as silent as on the calling thread
+    _threads(monkeypatch, 2)
+    config = SdeConfig(eta=0.01, epsilon=1e294, alpha=0.8, w0=(0.0,), max_steps=6000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = first_exit_ensemble(config, quadratic(1), 0.0, 1e300, 0.0,
+                                      RngStream(131), 65)
+    assert any(r.diverged for r in records)
 
 
 def test_diverged_lane_not_counted_as_exit():

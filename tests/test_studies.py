@@ -42,6 +42,8 @@ def test_loglog_slope_exact_power_law():
     assert fit_loglog_slope(x, 3.0 * x**1.7) == pytest.approx(1.7, abs=1e-12)
     with pytest.raises(ParameterError):
         fit_loglog_slope(x, -x)
+    with pytest.raises(ParameterError, match="distinct"):
+        fit_loglog_slope([20.0, 20.0], [0.5, 0.7])
 
 
 def test_exit_time_study_accounting():
