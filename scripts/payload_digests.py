@@ -3,7 +3,9 @@
 
 The one acceptance study without a command, `occupancy_study`, is run too and
 its header and row are hashed as `occupancy_study.csv`.  The 33-replicate
-exit-time run spans two lane tiles of the engine, the second with one lane.
+quadratic exit-time run spans two lane tiles of the engine, the second with
+one lane; the 33-replicate double-well run takes the per-step scan over two
+chunks, with its noise fill split into shares of an odd number of lanes.
 
 Each command writes into a fresh temporary $LEVYLAB_OUT; the wall-time line
 is stripped before hashing, so two checkouts that produce the same payloads
@@ -38,6 +40,9 @@ RUNS = [
     "exit-time --objective double_well --start_basin 1 --alpha 1.5 --eps 0.5 --a 0.5"
     " --eta 0.01 --reps 20 --seed 5 --output exit-well.csv"
     " --records_output exit-well-records.csv",
+    "exit-time --objective double_well --start_basin 1 --alpha 1.5 --eps 0.05 --a 0.5"
+    " --eta 0.01 --reps 33 --time_cap_factor 2 --seed 12 --output exit-well-pool.csv"
+    " --records_output exit-well-pool-records.csv",
     "transition --alpha 1.2 --eps 0.4 --eta 0.01 --reps 20 --seed 6"
     " --records_output transition-records.csv",
     "metastability --minima -1,2,4 --saddles 0,3 --alpha 1.3",

@@ -13,14 +13,16 @@ a finer step discretizes the same continuous-time process.
 
 One chunked engine advances every simulation: lanes move in lockstep, each
 on its own substream, and an observer (first exit, first transition, valley
-counts, stored path) sees each chunk once, tile by tile.  A lane's path
+counts, stored path) sees each chunk once, block by block.  A lane's path
 depends on its stream alone, so it is reproducible per replicate, the same
 at any ensemble size and thread count, and invariant under changes of the
 stopping rule (enlarging an exit radius can only delay the recorded exit on
 the same path).  Ensembles scan a chunk exactly when the objective declares
-linear drift with 0 < 1 - eta*rate < 1, in tiles of TILE lanes that run on
-one thread per usable CPU; the per-step update (always taken by
-``simulate``) runs all lanes as one tile on the calling thread.
+linear drift with 0 < 1 - eta*rate < 1, in tiles of TILE lanes that fill
+and scan on one thread per usable CPU.  Otherwise (and always in
+``simulate``) the per-step update keeps a chunk time-major: one thread per
+usable CPU fills the noise of a contiguous share of the lanes, then the
+calling thread steps the rows.
 Extreme draws are never truncated; an iterate that leaves float range halts
 its path with a divergence marker, which exit measurements count separately
 and never silently merge into exit statistics.
@@ -150,11 +152,11 @@ def noise_increments(config: SdeConfig, n_steps: int, gen: np.random.Generator) 
     return inc
 
 
-def _scan_chunk_generic(inc, wa, spec, eta):
-    """Per-step Euler scan; overwrites the (A, L, d) increments with positions."""
-    for j in range(inc.shape[1]):
-        wa = wa - eta * spec.grad(wa) + inc[:, j]
-        inc[:, j] = wa
+def _scan_chunk_generic(P, wa, spec, eta):
+    """Per-step Euler scan; overwrites the (L, A, d) time-major increments with positions."""
+    for row in P:
+        np.add(wa - eta * spec.grad(wa), row, out=row)
+        wa = row
 
 
 def _scan_chunk_linear(inc, wa, rate, center, eta):
@@ -206,21 +208,44 @@ def _fill_and_scan(config, gens, lanes, wa, L, scan):
         return W, np.isfinite(W).all(axis=2)
 
 
+def _fill_columns(config, gens, lanes, P, cols):
+    """Draw the noise of lanes[cols] into their columns of the (L, A, d) block P.
+
+    Shares write disjoint columns, and a pool thread enters its own error
+    state, as in ``_fill_and_scan``.
+    """
+    with np.errstate(all="ignore"):
+        for k in cols:
+            P[:, k] = noise_increments(config, P.shape[0], gens[lanes[k]])
+
+
+def _run_tasks(pool, fn, tasks):
+    """Results of ``fn(*task)`` in task order: on the pool if there is one, else inline and lazily."""
+    if pool is None:
+        return (fn(*task) for task in tasks)
+    futures = [pool.submit(fn, *task) for task in tasks]
+    return (f.result() for f in futures)
+
+
 def _run_lanes(config, spec, streams, observe, literal=False):
     """Advance one lane per stream, chunk by chunk, until all retire or time out.
 
-    ``observe(lanes, done, W, finite)`` gets the running lane ids of one tile,
-    the steps before the chunk, the tile's (T, L, d) positions and their
-    (T, L) finite mask; it returns the mask (or False) of lanes it is done
-    with.  Lanes that reach a non-finite iterate retire too.  ``literal``
-    forces the per-step update.
+    ``observe(lanes, done, W, finite)`` gets the running lane ids of one
+    block, the steps before the chunk, the block's (A, L, d) positions and
+    their (A, L) finite mask; it returns the mask (or False) of lanes it is
+    done with.  Lanes that reach a non-finite iterate retire too.
+    ``literal`` forces the per-step update.
 
     Under the linear scan a chunk's lanes split into tiles of TILE lanes,
-    filled and scanned on one thread per usable CPU when there are two or
-    more; the per-step scan keeps all lanes in one tile on the calling
-    thread.  Observers always run on the calling thread, tile by tile in
-    lane order, and the next chunk starts only after every tile is observed,
-    so a lane's generator is used by one thread at a time.
+    each filled and scanned by one task.  The per-step scan keeps the chunk
+    time-major, as one (L, A, d) block whose rows it steps on the calling
+    thread; its noise is filled first, lane by lane into the block's
+    columns, by one task per contiguous share of the lanes.  Tasks run on
+    one thread per usable CPU when there are two or more and more lanes
+    than one task takes (TILE lanes, or one lane per share).  Observers
+    always run on the calling thread, block by block in lane order, and the
+    next chunk starts only after every block is observed, so a lane's
+    generator is used by one thread at a time.
     """
     if spec.dim != config.dim:
         raise ParameterError(f"objective dim {spec.dim} != config dim {config.dim}")
@@ -229,33 +254,36 @@ def _run_lanes(config, spec, streams, observe, literal=False):
     if drift is not None and not (0.0 < 1.0 - eta * drift[0] < 1.0):
         drift = None
     gens = [s.generator() for s in streams]
-    if drift is None:
-        tile, scan = len(gens), partial(_scan_chunk_generic, spec=spec, eta=eta)
-    else:
-        tile = TILE
+    if drift is not None:
         scan = partial(_scan_chunk_linear, rate=drift[0], center=np.asarray(drift[1]), eta=eta)
     w = np.tile(np.asarray(config.w0), (len(gens), 1))
     active = np.arange(len(gens))
     done = 0
     L0 = _chunk_len(eta, config.max_steps)
+    workers = _usable_cpus()
     pool = None
-    if tile < len(gens) and _usable_cpus() > 1:
+    if len(gens) > (1 if drift is None else TILE) and workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        pool = ThreadPoolExecutor(_usable_cpus())
+        pool = ThreadPoolExecutor(workers)
     try:
         with np.errstate(all="ignore"):
             while active.size and done < config.max_steps:
                 L = min(L0, config.max_steps - done)
-                tiles = [active[s : s + tile] for s in range(0, active.size, tile)]
-                tasks = [(config, gens, lanes, w[lanes], L, scan) for lanes in tiles]
-                if pool is None:
-                    results = (_fill_and_scan(*task) for task in tasks)
+                if drift is None:
+                    P = np.empty((L, active.size, config.dim))
+                    shares = np.array_split(np.arange(active.size), min(workers, active.size))
+                    list(_run_tasks(pool, _fill_columns,
+                                    [(config, gens, active, P, cols) for cols in shares]))
+                    _scan_chunk_generic(P, w[active], spec, eta)
+                    blocks = [(active, (P.transpose(1, 0, 2), np.isfinite(P).all(axis=2).T))]
                 else:
-                    futures = [pool.submit(_fill_and_scan, *task) for task in tasks]
-                    results = (f.result() for f in futures)
+                    tiles = [active[s : s + TILE] for s in range(0, active.size, TILE)]
+                    blocks = zip(tiles, _run_tasks(pool, _fill_and_scan,
+                                                   [(config, gens, lanes, w[lanes], L, scan)
+                                                    for lanes in tiles]))
                 retire = []
-                for lanes, (W, finite) in zip(tiles, results):
+                for lanes, (W, finite) in blocks:
                     retire.append(observe(lanes, done, W, finite) | ~finite.all(axis=1))
                     w[lanes] = W[:, -1]
                 active = active[~np.concatenate(retire)]
@@ -327,7 +355,18 @@ def _outside_ball(W, c, thr):
         dev = W[:, :, 0] - c[0]
         np.abs(dev, out=dev)
         return dev > thr
-    return np.sqrt(np.sum((W - c[None, None, :]) ** 2, axis=2)) > thr
+    dev = W - c[None, None, :]
+    sq = np.sum(dev**2, axis=2)
+    outside = np.sqrt(sq) > thr
+    # where the sum of squares overflows, or underflows below the normal
+    # floats with an offset that is not zero, decide by the scaled norm
+    # s * |dev / s| with s = max |dev_i|, which neither overflows nor underflows
+    s = np.abs(dev).max(axis=2)
+    redo = ((sq == np.inf) & (s < np.inf)) | ((sq < np.finfo(float).tiny) & (s > 0.0))
+    if redo.any():
+        x, s = dev[redo], s[redo]
+        outside[redo] = s * np.sqrt(np.sum((x / s[:, None]) ** 2, axis=1)) > thr
+    return outside
 
 
 def first_exit_ensemble(
@@ -413,11 +452,17 @@ def first_transition_ensemble(
     targets = minima[others]
 
     def detector(W):
-        dist = np.abs(W[:, :, 0][:, :, None] - targets[None, None, :])
-        nearest = np.argmin(dist, axis=2)
-        A, L = nearest.shape
-        within = dist[np.arange(A)[:, None], np.arange(L)[None, :], nearest] <= delta
-        return within, others[nearest]
+        # nearest target by a strict running minimum, which breaks ties and
+        # NaNs as argmin does; an argmin over the few targets costs one call
+        # per position
+        x = W[:, :, 0]
+        dist = np.abs(x - targets[0])
+        end = np.full(dist.shape, others[0])
+        for t, j in zip(targets[1:], others[1:]):
+            d = np.abs(x - t)
+            end[d < dist] = j
+            np.minimum(dist, d, out=dist)
+        return dist <= delta, end
 
     hit_step, payload, diverged = _first_passage(config, spec, rng, n_replicates, detector)
     records = []

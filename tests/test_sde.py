@@ -331,6 +331,33 @@ def test_1d_exit_detector_is_exact_where_the_square_overflows():
     assert sde._outside_ball(W, np.zeros(1), 1e200).tolist() == [[False, False, True]]
 
 
+def test_2d_exit_detector_is_exact_where_the_square_overflows_or_underflows():
+    # distances 1e160 and 1.4e160 lie inside a 1e200 ball and 2e200 outside;
+    # 1e-160 and 1.4e-170 lie outside a 1e-200 ball, 1e-210 and 0 inside
+    outside = sde._outside_ball
+    with np.errstate(all="ignore"):  # as the engine calls it
+        assert not outside(np.array([[[1e160, 0.0]]]), np.zeros(2), 1e200)
+        assert outside(np.array([[[1e-160, 0.0]]]), np.zeros(2), 1e-200)
+        W = np.array([[[1e160, 0.0], [-1e160, 1e160], [0.0, 2e200]]])
+        assert outside(W, np.zeros(2), 1e200).tolist() == [[False, False, True]]
+        W = np.array([[[1e-160, 0.0], [1e-170, -1e-170], [0.0, 1e-210], [3.0, -2.0]]])
+        assert outside(W, np.zeros(2), 1e-200)[0, :3].tolist() == [True, True, False]
+        assert not outside(W, np.array([3.0, -2.0]), 1e-200)[0, 3]
+        W = np.array([[[np.inf, 0.0], [-np.inf, 1e160], [np.nan, 1e160], [np.nan, np.inf]]])
+        assert outside(W, np.zeros(2), 1e200).tolist() == [[True, True, False, False]]
+
+
+@pytest.mark.parametrize("thr", [1.0, 0.3, 1e-100, 1e100])
+def test_2d_exit_detector_keeps_the_distance_where_squares_are_normal(thr):
+    # the exit-2d payload depends on this form staying as it was
+    rng = np.random.default_rng(145)
+    W = thr * rng.uniform(-1.5, 1.5, (1, 400, 2))
+    center = np.array([0.25 * thr, -0.5 * thr])
+    distance = np.sqrt(np.sum((W - center) ** 2, axis=2)) > thr
+    assert 0 < distance.sum() < 400
+    assert np.array_equal(sde._outside_ball(W, center, thr), distance)
+
+
 def test_tile_task_error_surfaces_and_threads_stop(monkeypatch):
     _threads(monkeypatch, 2)
     rng = RngStream(124)
@@ -360,6 +387,135 @@ def test_threaded_diverging_ensemble_warns_nothing(monkeypatch):
         warnings.simplefilter("error")
         records = first_exit_ensemble(config, quadratic(1), 0.0, 1e300, 0.0,
                                       RngStream(131), 65)
+    assert any(r.diverged for r in records)
+
+
+def _per_step_exits(config, spec, rng, n, thr):
+    """(exited, exit_step, diverged) per replicate from a plain per-step loop.
+
+    Each lane draws its noise chunk by chunk from its own substream, with the
+    engine's chunk lengths, and carries its position from step to step.
+    """
+    L = sde._chunk_len(config.eta, config.max_steps)
+    out = []
+    for r in range(n):
+        gen, w, step, rec = rng.substream(r).generator(), np.asarray(config.w0), 0, None
+        while rec is None and step < config.max_steps:
+            for inc in noise_increments(config, min(L, config.max_steps - step), gen):
+                w = w - config.eta * spec.grad(w) + inc
+                step += 1
+                if not np.isfinite(w).all() or abs(w[0]) > thr:
+                    rec = (bool(np.isfinite(w).all()), step, not np.isfinite(w).all())
+                    break
+        out.append(rec or (False, None, False))
+    return out
+
+
+@pytest.mark.parametrize("declared", [True, False], ids=["linear", "generic"])
+def test_multichunk_exit_records_equal_a_per_step_loop(declared, monkeypatch):
+    # four chunks of 3000, 3000, 3000 and 1000 steps, and a drift slow enough
+    # (e^-1.5 per chunk) that a lane restarted at w0 leaves at another step:
+    # a lane that lives past a chunk must start the next one where it stopped
+    slow = ObjectiveSpec(dim=1, f=lambda w: 0.025 * w**2, grad=lambda w: 0.05 * w,
+                         linear_drift=(0.05, 0.0))
+    config = _cfg(eta=0.01, epsilon=0.04, alpha=1.5, w0=(0.0,), max_steps=10_000)
+    rng = RngStream(150)
+    loop = _per_step_exits(config, slow, rng, 16, 0.5)
+    if declared:
+        records = _declared_fast(monkeypatch, config, slow, 0.0, 0.5, 0.0, rng, 16)
+    else:
+        records = first_exit_ensemble(config, _undeclared(slow), 0.0, 0.5, 0.0, rng, 16)
+    assert _outcomes(records) == loop
+    chunk = sde._chunk_len(config.eta, config.max_steps)
+    assert {s // chunk for _, s, _ in loop if s is not None} >= {1, 2}
+    assert any(s is None for _, s, _ in loop)
+
+
+def test_pooled_generic_transition_records_independent_of_threads(monkeypatch):
+    # 300 lanes over three chunks; 21 lanes diverge on the quartic
+    config = SdeConfig(eta=0.01, epsilon=0.3, alpha=1.2, w0=(-1.0,), max_steps=7000)
+    runs = []
+    for threads in (1, 2, 3):
+        _threads(monkeypatch, threads)
+        runs.append(first_transition_ensemble(config, double_well(-1.0, 2.0), 0.2,
+                                              RngStream(140), 300))
+    (recs, div), *others = runs
+    assert 0 < div.sum() and 0 < len(recs) < 300
+    assert any(r.transition_step > sde._chunk_len(config.eta, config.max_steps) for r in recs)
+    for other_recs, other_div in others:
+        assert other_recs == recs and np.array_equal(other_div, div)
+
+
+def test_pooled_generic_exit_records_equal_lone_runs(monkeypatch):
+    # shares of 1 to 17 lanes per thread; each record equals its replicate
+    # run alone, and noise is drawn off the calling thread exactly when
+    # there are two threads or more and more than one lane
+    config = SdeConfig(eta=0.01, epsilon=0.3, alpha=1.2, w0=(-1.0,), max_steps=7000)
+    spec, rng = double_well(-1.0, 2.0), RngStream(143)
+    alone = [dataclasses.replace(first_exit_ensemble(config, spec, -1.0, 10.0, 0.0,
+                                                     _Alone(rng, r), 1)[0], replicate=r)
+             for r in range(33)]
+    assert 0 < sum(r.exited for r in alone) < 33
+    on_main = set()
+    draw = sde.noise_increments
+
+    def spy(*args):
+        on_main.add(threading.current_thread() is threading.main_thread())
+        return draw(*args)
+
+    monkeypatch.setattr(sde, "noise_increments", spy)
+    for threads in (1, 2, 3):
+        _threads(monkeypatch, threads)
+        for n in (1, 2, 3, 24, 33):
+            on_main.clear()
+            assert first_exit_ensemble(config, spec, -1.0, 10.0, 0.0, rng, n) == alone[:n]
+            assert on_main == {threads == 1 or n == 1}
+
+
+def test_pooled_generic_occupancy_independent_of_threads(monkeypatch):
+    # 24 lanes on the quartic, 6 of which diverge
+    config = SdeConfig(eta=0.01, epsilon=0.3, alpha=1.2, w0=(-1.0,), max_steps=6000)
+    runs = []
+    for threads in (1, 2, 3):
+        _threads(monkeypatch, threads)
+        runs.append(occupancy_ensemble(config, double_well(-1.0, 2.0), RngStream(141), 24))
+    (frac, div), *others = runs
+    assert 0 < div < 24
+    for other_frac, other_div in others:
+        assert np.array_equal(other_frac, frac) and other_div == div
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_pooled_fill_error_surfaces_and_threads_stop(monkeypatch, threads):
+    _threads(monkeypatch, threads)
+    rng = RngStream(144)
+    target = rng.substream(20).generator().bit_generator.state
+    boom = ParameterError("lane 20 failed")
+    draw = sde.noise_increments
+
+    def failing(config, n, gen):
+        if gen.bit_generator.state == target:
+            raise boom
+        return draw(config, n, gen)
+
+    monkeypatch.setattr(sde, "noise_increments", failing)
+    before = threading.active_count()
+    with pytest.raises(ParameterError) as err:
+        first_exit_ensemble(_cfg(w0=(-1.0,), max_steps=2000), double_well(-1.0, 2.0),
+                            -1.0, 1.0, 0.0, rng, 24)
+    assert err.value is boom
+    assert threading.active_count() == before
+
+
+def test_pooled_fill_of_diverging_ensemble_warns_nothing(monkeypatch):
+    # the fill's own overflow happens on pool threads, the scan's on the
+    # calling thread; both stay silent
+    _threads(monkeypatch, 2)
+    config = SdeConfig(eta=0.01, epsilon=1e306, alpha=0.8, w0=(-1.0,), max_steps=6000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = first_exit_ensemble(config, double_well(-1.0, 2.0), -1.0, 1e308, 0.0,
+                                      RngStream(131), 24)
     assert any(r.diverged for r in records)
 
 
