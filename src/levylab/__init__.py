@@ -38,19 +38,8 @@ from .sde import (
     simulate,
 )
 from .stability import StabilityReport, stability_condition
-from .stable import (
-    StableParams,
-    char_fn,
-    moment_exists,
-    sample_sas,
-    unit_jump_scale,
-)
-from .studies import (
-    exit_scaling_study,
-    exit_time_study,
-    occupancy_study,
-    transition_study,
-)
+from .stable import StableParams, sample_sas, unit_jump_scale
+from .studies import exit_time_study, occupancy_study, transition_study
 from .tail_index import TailEstimate, choose_block_size, estimate_alpha
 from .training import noise_scale_sweep, train_with_tail_logging
 
@@ -72,14 +61,12 @@ __all__ = [
     "StableParams",
     "TailEstimate",
     "a_gamma_bound",
-    "char_fn",
     "choose_block_size",
     "constant_step_bound",
     "default_gamma",
     "double_well",
     "estimate_alpha",
     "estimate_sigma_gamma",
-    "exit_scaling_study",
     "exit_time_study",
     "expected_exit_time",
     "first_exit_ensemble",
@@ -89,7 +76,6 @@ __all__ = [
     "generator_matrix",
     "init_mlp",
     "load_mnist_idx",
-    "moment_exists",
     "noise_scale_sweep",
     "occupancy_ensemble",
     "occupancy_study",

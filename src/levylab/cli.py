@@ -425,6 +425,17 @@ def _run_stability(config: ExperimentConfig):
     return RunResult(STABILITY_REPORT_HEADER, [report.csv_row()])
 
 
+def _study_result(config: ExperimentConfig, study, header: str, record_header: str):
+    """The study's row, partial past ``max_diverged_fraction``, plus its records
+    file when ``records_output`` is set."""
+    p = config.parameters
+    partial = study.n_diverged / p["reps"] > p["max_diverged_fraction"]
+    extra = None
+    if p["records_output"]:
+        extra = (p["records_output"], record_header, [r.csv_row() for r in study.records])
+    return RunResult(header, [study.csv_row()], partial, extra)
+
+
 def _run_exit_time(config: ExperimentConfig):
     p = config.parameters
     spec, center = _build_objective(config)
@@ -435,12 +446,7 @@ def _run_exit_time(config: ExperimentConfig):
         time_cap_factor=p["time_cap_factor"],
         noise_scaling=p["noise_scaling"],
     )
-    partial = study.n_diverged / p["reps"] > p["max_diverged_fraction"]
-    extra = None
-    if p["records_output"]:
-        extra = (p["records_output"], EXIT_RECORD_HEADER,
-                 [r.csv_row() for r in study.records])
-    return RunResult(EXIT_STUDY_HEADER, [study.csv_row()], partial, extra)
+    return _study_result(config, study, EXIT_STUDY_HEADER, EXIT_RECORD_HEADER)
 
 
 def _run_transition(config: ExperimentConfig):
@@ -451,12 +457,7 @@ def _run_transition(config: ExperimentConfig):
         n_replicates=p["reps"], start_basin=p["start_basin"],
         noise_scaling=p["noise_scaling"], time_cap_factor=p["time_cap_factor"],
     )
-    partial = study.n_diverged / p["reps"] > p["max_diverged_fraction"]
-    extra = None
-    if p["records_output"]:
-        extra = (p["records_output"], TRANSITION_RECORD_HEADER,
-                 [r.csv_row() for r in study.records])
-    return RunResult(TRANSITION_STUDY_HEADER, [study.csv_row()], partial, extra)
+    return _study_result(config, study, TRANSITION_STUDY_HEADER, TRANSITION_RECORD_HEADER)
 
 
 def _run_converge(config: ExperimentConfig):

@@ -43,10 +43,6 @@ class DatasetSplit:
         return self.train_x.shape[0]
 
     @property
-    def n_test(self) -> int:
-        return self.test_x.shape[0]
-
-    @property
     def input_dim(self) -> int:
         return self.train_x.shape[1]
 

@@ -123,7 +123,7 @@ def solved_model(minima, saddles, alpha: float) -> MarkovChainModel:
 
 def expected_exit_time(a: float, epsilon: float, alpha: float) -> float:
     """Leading-order mean first-exit time (alpha/2) * a^alpha / eps^alpha."""
-    if a <= 0 or epsilon <= 0:
+    if not (a > 0 and epsilon > 0):
         raise ParameterError(f"need a > 0 and epsilon > 0, got a={a}, epsilon={epsilon}")
     if not (0.0 < alpha <= 2.0):
         raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")

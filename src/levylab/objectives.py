@@ -5,9 +5,7 @@ the interleaved minima/saddles that define valleys for exit-time and
 occupancy measurements.  ``f`` and ``grad`` are numpy-vectorized: for
 ``dim == 1`` they map arrays elementwise, for ``dim > 1`` the last axis is
 the coordinate axis and ``f`` reduces over it.  A declared linear drift is
-checked against ``grad`` on probes.  Probe-based checkers cover
-the dissipativity and Holder-gradient conditions the convergence theory
-assumes.
+checked against ``grad`` on probes.
 """
 
 from __future__ import annotations
@@ -28,13 +26,15 @@ LINEAR_DRIFT_RTOL = 1e-9
 def valley_partition(
     minima: Sequence[float], saddles: Sequence[float]
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Minima and interior saddles as floats, checked to satisfy
+    """Minima and interior saddles as finite floats, checked to satisfy
     ``m_1 < s_1 < m_2 < ... < s_{r-1} < m_r``."""
     mins = tuple(float(m) for m in minima)
     sads = tuple(float(s) for s in saddles)
     r = len(mins)
     if len(sads) != r - 1:
         raise ParameterError(f"{r} minima require {r - 1} interior saddles, got {len(sads)}")
+    if not np.isfinite([*mins, *sads]).all():
+        raise ParameterError(f"minima and saddles must be finite, got {mins} and {sads}")
     interleaved = [mins[0]]
     for s, m in zip(sads, mins[1:]):
         interleaved.extend((s, m))
@@ -153,57 +153,3 @@ def double_well(m1: float, m2: float, scale: float = 1.0) -> ObjectiveSpec:
         return scale * w * (w - m1) * (w - m2)
 
     return ObjectiveSpec(dim=1, f=f, grad=grad, minima=(m1, m2), saddles=(0.0,))
-
-
-def finite_difference_gradient(
-    f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-6
-) -> np.ndarray:
-    """Central-difference gradient, the reference for gradient consistency."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return np.asarray((float(f(x + h)) - float(f(x - h))) / (2.0 * h))
-    out = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e.flat[i] = h
-        out.flat[i] = (float(f(x + e)) - float(f(x - e))) / (2.0 * h)
-    return out
-
-
-def check_dissipativity(
-    spec: ObjectiveSpec,
-    m: float,
-    b: float,
-    gamma: float,
-    probes: Sequence[np.ndarray],
-) -> bool:
-    """Whether <x, grad f(x)> >= m ||x||^(1+gamma) - b at every probe."""
-    if m <= 0 or b < 0:
-        raise ParameterError(f"need m > 0 and b >= 0, got m={m}, b={b}")
-    for x in probes:
-        x = np.asarray(x, dtype=float)
-        g = np.asarray(spec.grad(x))
-        inner = float(np.sum(x * g))
-        norm = float(np.sqrt(np.sum(x**2)))
-        if inner < m * norm ** (1.0 + gamma) - b:
-            return False
-    return True
-
-
-def check_holder(
-    spec: ObjectiveSpec,
-    M: float,
-    gamma: float,
-    probe_pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> bool:
-    """Whether ||grad f(x) - grad f(y)|| <= M ||x - y||^gamma at every pair."""
-    if M <= 0 or not (0.0 < gamma <= 1.0):
-        raise ParameterError(f"need M > 0 and gamma in (0, 1], got M={M}, gamma={gamma}")
-    for x, y in probe_pairs:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        dg = float(np.sqrt(np.sum((np.asarray(spec.grad(x)) - np.asarray(spec.grad(y))) ** 2)))
-        dx = float(np.sqrt(np.sum((x - y) ** 2)))
-        if dg > M * dx**gamma:
-            return False
-    return True

@@ -91,10 +91,6 @@ class Trajectory:
     diverged: bool = False
     diverged_step: int | None = None
 
-    @property
-    def n_steps(self) -> int:
-        return self.points.shape[0] - 1
-
 
 @dataclass(frozen=True)
 class ExitTimeRecord:
@@ -317,6 +313,13 @@ def simulate(config: SdeConfig, spec: ObjectiveSpec, rng: RngStream) -> Trajecto
     return Trajectory(points=points, eta=config.eta)
 
 
+def _replicate_streams(rng: RngStream, n_replicates: int) -> list[RngStream]:
+    """Substreams 0 .. n_replicates-1 of ``rng``, one per replicate lane."""
+    if n_replicates < 1:
+        raise ParameterError(f"n_replicates must be >= 1, got {n_replicates}")
+    return [rng.substream(r) for r in range(n_replicates)]
+
+
 def _first_passage(config, spec, rng, n_replicates, detector):
     """Run an ensemble until each lane triggers, diverges, or times out.
 
@@ -325,6 +328,7 @@ def _first_passage(config, spec, rng, n_replicates, detector):
     (hit_step, payload, diverged) indexed by replicate; hit_step is -1 for
     lanes that never triggered.
     """
+    streams = _replicate_streams(rng, n_replicates)
     hit_step = np.full(n_replicates, -1, dtype=np.int64)
     payload = np.full(n_replicates, -1, dtype=np.int64)
     diverged = np.zeros(n_replicates, dtype=bool)
@@ -342,7 +346,6 @@ def _first_passage(config, spec, rng, n_replicates, detector):
                 payload[rid] = pay[i, f]
         return hit_any
 
-    streams = [rng.substream(r) for r in range(n_replicates)]
     _run_lanes(config, spec, streams, observe)
     return hit_step, payload, diverged
 
@@ -388,8 +391,6 @@ def first_exit_ensemble(
         raise ParameterError(f"radius a must be positive, got {a}")
     if xi < 0.0:
         raise ParameterError(f"margin xi must be nonnegative, got {xi}")
-    if n_replicates < 1:
-        raise ParameterError(f"n_replicates must be >= 1, got {n_replicates}")
     c = np.atleast_1d(np.asarray(center, dtype=float))
     if c.size != config.dim:
         raise ParameterError(f"center dim {c.size} != config dim {config.dim}")
@@ -499,8 +500,7 @@ def occupancy_ensemble(
         raise ParameterError("occupancy needs an objective with declared geometry")
     if not (0 <= burn_in < config.max_steps):
         raise ParameterError(f"burn_in must lie in [0, max_steps), got {burn_in}")
-    if n_replicates < 1:
-        raise ParameterError(f"n_replicates must be >= 1, got {n_replicates}")
+    streams = _replicate_streams(rng, n_replicates)
     n_valleys = len(spec.minima)
     counts = np.zeros(n_valleys, dtype=np.int64)
     n_diverged = 0
@@ -514,7 +514,6 @@ def occupancy_ensemble(
         n_diverged += int((~finite.all(axis=1)).sum())
         return False
 
-    streams = [rng.substream(r) for r in range(n_replicates)]
     _run_lanes(config, spec, streams, observe)
     if n_diverged == n_replicates:
         raise ParameterError(f"all {n_replicates} lanes diverged; lower eta or epsilon")

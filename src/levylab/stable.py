@@ -38,11 +38,6 @@ class StableParams:
             raise ParameterError(f"sigma must be positive and finite, got {self.sigma}")
 
 
-def char_fn(params: StableParams, omega: float) -> float:
-    """Characteristic function exp(-|sigma*omega|**alpha) at frequency omega."""
-    return math.exp(-abs(params.sigma * omega) ** params.alpha)
-
-
 def sample_standard_sas(alpha: float, size, gen: np.random.Generator) -> np.ndarray:
     """Draw scale-1 symmetric alpha-stable variates from a raw generator.
 
@@ -76,13 +71,6 @@ def sample_sas(params: StableParams, n: int, rng: RngStream) -> np.ndarray:
         raise ParameterError(f"n must be nonnegative, got {n}")
     gen = rng.generator()
     return params.sigma * sample_standard_sas(params.alpha, n, gen)
-
-
-def moment_exists(params: StableParams, r: float) -> bool:
-    """Whether E|X|**r is finite: true iff alpha == 2 or r < alpha."""
-    if r < 0:
-        raise ParameterError(f"moment order must be nonnegative, got {r}")
-    return params.alpha == 2.0 or r < params.alpha
 
 
 def unit_jump_scale(alpha: float) -> float:

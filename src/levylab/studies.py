@@ -17,11 +17,12 @@ Predictions are always evaluated at the nominal epsilon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .convergence import fit_loglog_slope
 from .csvfmt import format_row
 from .errors import ParameterError
 from .metastability import exit_rate, expected_exit_time, generator_matrix, solved_model
@@ -88,6 +89,24 @@ def _study_config(
                      sigma_brownian=sigma_brownian, max_steps=max_steps)
 
 
+def _time_cap(
+    epsilon: float, eta: float, time_cap_factor: float, predict: Callable[[], float]
+) -> tuple[float, int]:
+    """The predicted mean time ``predict()`` and a step cap of ``time_cap_factor``
+    times it, once epsilon, eta and the factor are checked finite and in range."""
+    if not (0.0 < epsilon < math.inf):
+        raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
+    if not (0.0 < eta < math.inf):
+        raise ParameterError(f"eta must be positive and finite, got {eta}")
+    if not (1.0 < time_cap_factor < math.inf):
+        raise ParameterError(f"time_cap_factor must be finite and exceed 1, got {time_cap_factor}")
+    predicted = predict()
+    steps = time_cap_factor * predicted / eta
+    if not math.isfinite(steps):
+        raise ParameterError(f"step cap {steps} is not finite at predicted mean {predicted}")
+    return predicted, int(np.ceil(steps))
+
+
 @dataclass(frozen=True)
 class ExitTimeStudy:
     """Exit-time ensemble summary against the closed-form law."""
@@ -133,10 +152,9 @@ def exit_time_study(
     when the law holds.  Divergent replicates are excluded from the mean
     and KS statistics and counted separately.
     """
-    if time_cap_factor <= 1.0:
-        raise ParameterError(f"time_cap_factor must exceed 1, got {time_cap_factor}")
-    predicted = expected_exit_time(a, epsilon, alpha)
-    max_steps = int(np.ceil(time_cap_factor * predicted / eta))
+    predicted, max_steps = _time_cap(
+        epsilon, eta, time_cap_factor, lambda: expected_exit_time(a, epsilon, alpha)
+    )
     w0 = tuple(np.atleast_1d(np.asarray(center, dtype=float)))
     config = _study_config(alpha, epsilon, eta, noise_scaling, w0, max_steps, sigma_brownian)
     records = first_exit_ensemble(config, spec, center, a, xi, rng, n_replicates)
@@ -160,51 +178,6 @@ def exit_time_study(
         predicted_mean=predicted,
         ks_distance=ks,
         records=tuple(records),
-    )
-
-
-@dataclass(frozen=True)
-class ExitScalingStudy:
-    """Mean exit time across an epsilon ladder plus the fitted slope."""
-
-    alpha: float
-    epsilons: tuple[float, ...]
-    mean_exit_times: tuple[float, ...]
-    slope_vs_inverse_epsilon: float
-    studies: tuple[ExitTimeStudy, ...]
-
-
-def exit_scaling_study(
-    spec: ObjectiveSpec,
-    center: tuple[float, ...] | float,
-    alpha: float,
-    epsilons: tuple[float, ...],
-    a: float,
-    eta: float,
-    rng: RngStream,
-    n_replicates: int = 300,
-) -> ExitScalingStudy:
-    """Fit the growth of the mean exit time against 1/epsilon.
-
-    The law predicts mean = (alpha/2) a^alpha eps^-alpha, so the log-log
-    slope against 1/epsilon is alpha.  Each epsilon gets its own substream
-    and runs at the default noise scaling and time cap of ``exit_time_study``.
-    """
-    if len(epsilons) < 2:
-        raise ParameterError("need at least two epsilon values")
-    studies = [
-        exit_time_study(spec, center, alpha, eps, a, eta, rng.substream(i),
-                        n_replicates=n_replicates)
-        for i, eps in enumerate(epsilons)
-    ]
-    means = np.array([s.mean_exit_time for s in studies])
-    slope = fit_loglog_slope(1.0 / np.asarray(epsilons), means)
-    return ExitScalingStudy(
-        alpha=alpha,
-        epsilons=tuple(epsilons),
-        mean_exit_times=tuple(float(m) for m in means),
-        slope_vs_inverse_epsilon=slope,
-        studies=tuple(studies),
     )
 
 
@@ -257,8 +230,9 @@ def transition_study(
     Q = generator_matrix(spec.minima, spec.saddles, alpha).Q
     w0 = start_minimum(spec, start_basin)
     rate_out = float(-Q[start_basin, start_basin])
-    predicted = epsilon**-alpha / rate_out
-    max_steps = int(np.ceil(time_cap_factor * predicted / eta))
+    predicted, max_steps = _time_cap(
+        epsilon, eta, time_cap_factor, lambda: epsilon**-alpha / rate_out
+    )
     config = _study_config(alpha, epsilon, eta, noise_scaling, (w0,), max_steps)
     records, diverged = first_transition_ensemble(config, spec, delta, rng, n_replicates)
     if not records:

@@ -14,6 +14,7 @@ from levylab.convergence import (
     GradientNoise,
     a_gamma_bound,
     estimate_sigma_gamma,
+    fit_loglog_slope,
     fitted_rate_slope,
     optimal_c_gamma,
     run_convergence,
@@ -25,7 +26,7 @@ from levylab.objectives import double_well, quadratic
 from levylab.rng import RngStream
 from levylab.stability import stability_condition
 from levylab.stable import sample_standard_sas
-from levylab.studies import exit_scaling_study, exit_time_study, occupancy_study
+from levylab.studies import exit_time_study, occupancy_study
 from levylab.tail_index import estimate_alpha
 from levylab.training import noise_pool_grads, train_with_tail_logging
 
@@ -73,11 +74,13 @@ def test_exit_time_law():
 
 
 def test_exit_time_scaling():
-    study = exit_scaling_study(
-        quadratic(1), 0.0, 1.5, tuple(np.geomspace(0.1, 0.01, 5)), 1.0, 1e-3,
-        RngStream(215), n_replicates=250,
-    )
-    slope = study.slope_vs_inverse_epsilon
+    epsilons = np.geomspace(0.1, 0.01, 5)
+    means = [
+        exit_time_study(quadratic(1), 0.0, 1.5, eps, 1.0, 1e-3, RngStream(215).substream(i),
+                        n_replicates=250).mean_exit_time
+        for i, eps in enumerate(epsilons)
+    ]
+    slope = fit_loglog_slope(1.0 / epsilons, means)
     _verdict(
         "exit-time scaling",
         abs(slope - 1.5) <= 0.15,

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import levylab
 from levylab.cli import (
     COMMANDS,
     ExperimentConfig,
@@ -98,6 +99,7 @@ def test_usage_paths(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "usage: levylab" in out and "exit-time" in out
+    assert all(hasattr(levylab, name) for name in levylab.__all__)
 
 
 def _read(path):
@@ -362,6 +364,41 @@ def test_unread_key_is_rejected(tmp_path, monkeypatch, capsys, argv, key):
     assert record["error"] == "ConfigError"
     assert f"key '{key}' is not read" in record["message"]
     assert not list(out.iterdir())
+
+
+_BAD_INPUT_BASES = {
+    "exit-time": {"alpha": "1.6", "eps": "0.5", "a": "0.5", "eta": "0.01", "reps": "5"},
+    "transition": {"alpha": "1.2", "eps": "0.4", "eta": "0.01", "reps": "6"},
+    "metastability": {"minima": "-1,2", "alpha": "1.3", "saddles": "0"},
+}
+
+
+_BAD_INPUTS = [
+    *[(cmd, "eta", v, "eta must") for cmd in ("exit-time", "transition") for v in ("0", "nan")],
+    *[(cmd, "eps", "nan", "epsilon must") for cmd in ("exit-time", "transition")],
+    ("transition", "eps", "0", "epsilon must"),
+    ("transition", "eps", "-0.5", "epsilon must"),
+    *[(cmd, "time_cap_factor", v, "time_cap_factor must")
+      for cmd in ("exit-time", "transition") for v in ("nan", "inf")],
+    ("transition", "time_cap_factor", "0.5", "time_cap_factor must"),
+    ("exit-time", "a", "nan", "need a > 0"),
+    ("exit-time", "a", "inf", "step cap inf is not finite"),
+    *[("transition", "reps", v, "n_replicates must") for v in ("-1", "0")],
+    ("metastability", "saddles", "nan", "must be finite"),
+]
+
+
+@pytest.mark.parametrize("command, key, value, fragment", _BAD_INPUTS,
+                         ids=["-".join(case[:3]) for case in _BAD_INPUTS])
+def test_bad_run_input_exits_2_before_any_output(tmp_path, monkeypatch, capsys,
+                                                 command, key, value, fragment):
+    monkeypatch.setenv("LEVYLAB_OUT", str(tmp_path))
+    flags = {**_BAD_INPUT_BASES[command], key: value}
+    assert main([command, *(t for k, v in flags.items() for t in (f"--{k}", v))]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ParameterError" and record["status"] == 2
+    assert fragment in record["message"]
+    assert not list(tmp_path.iterdir())
 
 
 def test_default_valued_unread_key_is_accepted(tmp_path, monkeypatch):

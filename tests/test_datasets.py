@@ -59,7 +59,7 @@ def test_blobs_deterministic_and_balanced():
     b = synthetic_blobs(100, 5, 4, 1.0, RngStream(120))
     assert np.array_equal(a.train_x, b.train_x)
     assert np.array_equal(a.test_y, b.test_y)
-    assert a.n_train == 100 and a.n_test == 24 and a.input_dim == 5
+    assert a.n_train == 100 and a.test_x.shape[0] == 24 and a.input_dim == 5
     assert np.bincount(a.train_y, minlength=4).tolist() == [25] * 4
     assert np.bincount(a.test_y, minlength=4).tolist() == [6] * 4
 

@@ -4,14 +4,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from levylab.errors import ParameterError
-from levylab.objectives import (
-    ObjectiveSpec,
-    check_dissipativity,
-    check_holder,
-    double_well,
-    finite_difference_gradient,
-    quadratic,
-)
+from levylab.objectives import ObjectiveSpec, double_well, quadratic
+
+
+def finite_difference_gradient(f, x, h=1e-6):
+    """Central-difference gradient of ``f`` at ``x``, the reference for ``grad``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return np.asarray((float(f(x + h)) - float(f(x - h))) / (2.0 * h))
+    out = np.empty_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e.flat[i] = h
+        out.flat[i] = (float(f(x + e)) - float(f(x - e))) / (2.0 * h)
+    return out
 
 
 def test_quadratic_values():
@@ -110,39 +116,6 @@ def test_geometry_interleaving_enforced():
             minima=(1.0, -1.0),
             saddles=(0.0,),
         )
-
-
-def test_dissipativity_quadratic():
-    spec = quadratic(1)
-    probes = [np.asarray(v) for v in (-3.0, -0.5, 0.5, 3.0)]
-    assert check_dissipativity(spec, 1.0, 0.0, 1.0, probes)
-    assert not check_dissipativity(spec, 2.0, 0.0, 1.0, [np.asarray(1.0)])
-
-
-def test_dissipativity_double_well_with_offset():
-    spec = double_well(-1.0, 2.0, 1.0)
-    probes = [np.asarray(v) for v in np.linspace(-10.0, 10.0, 81)]
-    assert check_dissipativity(spec, 0.1, 30.0, 1.0, probes)
-
-
-def test_holder_quadratic():
-    spec = quadratic(1)
-    pairs = [(np.asarray(0.0), np.asarray(1.0)), (np.asarray(-2.0), np.asarray(2.0))]
-    assert check_holder(spec, 1.0, 1.0, pairs)
-    assert not check_holder(spec, 0.5, 1.0, [(np.asarray(0.0), np.asarray(1.0))])
-
-
-def test_holder_double_well_grid_constant():
-    spec = double_well(-1.0, 2.0)
-    grid = np.linspace(-3.0, 3.0, 31)
-    pairs = [(np.asarray(a), np.asarray(b)) for a in grid for b in grid if a < b]
-    slopes = [
-        abs(float(spec.grad(np.asarray(b))) - float(spec.grad(np.asarray(a))))
-        / abs(b - a)
-        for a, b in pairs
-    ]
-    M = 1.05 * max(slopes)
-    assert check_holder(spec, M, 1.0, pairs)
 
 
 @given(w=st.floats(-50.0, 50.0))

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
+from levylab.convergence import fit_loglog_slope
 from levylab.errors import ParameterError
 from levylab.metastability import expected_exit_time
 from levylab.objectives import double_well, quadratic
 from levylab.rng import RngStream
 from levylab.studies import (
     EXIT_STUDY_HEADER,
-    exit_scaling_study,
     exit_time_study,
-    fit_loglog_slope,
     ks_distance_exponential,
     occupancy_study,
     transition_study,
@@ -74,15 +73,13 @@ def test_literal_noise_scale_runs_slower_than_jump():
 
 
 def test_exit_scaling_slope_is_near_alpha():
-    study = exit_scaling_study(
-        quadratic(1), 0.0, 1.5, (0.1, 0.05), 1.0, 1e-2, RngStream(113),
-        n_replicates=60,
-    )
-    assert 1.0 < study.slope_vs_inverse_epsilon < 2.0
-    with pytest.raises(ParameterError):
-        exit_scaling_study(
-            quadratic(1), 0.0, 1.5, (0.1,), 1.0, 1e-2, RngStream(0), n_replicates=4
-        )
+    epsilons = (0.1, 0.05)
+    means = [
+        exit_time_study(quadratic(1), 0.0, 1.5, eps, 1.0, 1e-2, RngStream(113).substream(i),
+                        n_replicates=60).mean_exit_time
+        for i, eps in enumerate(epsilons)
+    ]
+    assert 1.0 < fit_loglog_slope(1.0 / np.asarray(epsilons), means) < 2.0
 
 
 def test_transition_study_two_wells():
