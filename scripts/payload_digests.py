@@ -6,6 +6,8 @@ its header and row are hashed as `occupancy_study.csv`.  The 33-replicate
 quadratic exit-time run spans two lane tiles of the engine, the second with
 one lane; the 33-replicate double-well run takes the per-step scan over two
 chunks, with its noise fill split into shares of an odd number of lanes.
+The `converge-blocks` run draws its noise in blocks of 8 steps, the last
+block of each K ragged.
 
 Each command writes into a fresh temporary $LEVYLAB_OUT; the wall-time line
 is stripped before hashing, so two checkouts that produce the same payloads
@@ -47,6 +49,7 @@ RUNS = [
     " --records_output transition-records.csv",
     "metastability --minima -1,2,4 --saddles 0,3 --alpha 1.3",
     "converge --noise sas --d 2 --ks 50,100 --reps 5 --sigma_samples 2000 --seed 7",
+    "converge --noise sas --d 10 --ks 203,410 --reps 100 --seed 14 --output converge-blocks.csv",
     "train --n 240 --dim 5 --classes 3 --width 8 --b 20 --iters 21 --log_every 10"
     " --measure_c_st true --seed 8",
     "train --n 240 --dim 5 --classes 3 --width 8 --depth 2 --b 20 --iters 11 --log_every 10"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -462,6 +463,10 @@ def _run_transition(config: ExperimentConfig):
 
 def _run_converge(config: ExperimentConfig):
     p = config.parameters
+    # a NaN would pass the "> 0.0" tests below as unset, or reach the run
+    for key, (kind, _) in SCHEMAS["converge"].items():
+        if kind == "float" and not math.isfinite(p[key]):
+            raise ParameterError(f"converge: key '{key}' must be finite, got {p[key]}")
     kind = p["noise"]
     if kind not in ("sas", "gaussian"):
         raise ConfigError(f"converge: noise must be 'sas' or 'gaussian', got {kind!r}")

@@ -12,10 +12,15 @@ against the guarantee
 optimized by eta = c_gamma / K^(1/(1+gamma)).  The expectation is proxied
 by the replicate average; with stable noise that average is itself heavy
 tailed, so replicate counts buy less than they would under a Gaussian.
+
+A sweep draws its noise in blocks of NOISE_BLOCK variates' worth of steps,
+time-major, so each block equals that many per-step draws bit for bit; the
+gradient loop stays per step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +29,17 @@ from .csvfmt import format_row
 from .errors import ParameterError
 from .objectives import ObjectiveSpec
 from .rng import RngStream
-from .stable import sample_standard_sas
+from .stable import sample_normal, sample_standard_sas
 
 CONVERGENCE_ROW_HEADER = (
     "K,eta,gamma,alpha,min_grad_sq_mean,min_grad_sq_stderr,bound,diverged_fraction"
 )
 
 DEFAULT_GAMMA_SAFETY = 0.8
+
+# Variates per pre-drawn noise block of a sweep: enough steps to spread the
+# sampler's per-call cost, few enough that its temporaries stay in cache.
+NOISE_BLOCK = 2**13
 
 
 def default_gamma(alpha: float) -> float:
@@ -43,10 +52,10 @@ def default_gamma(alpha: float) -> float:
 def _check_constants(gamma: float, sigma_gamma: float, M: float) -> None:
     if not (0.0 < gamma <= 1.0):
         raise ParameterError(f"gamma must lie in (0, 1], got {gamma}")
-    if sigma_gamma <= 0.0:
-        raise ParameterError(f"sigma_gamma must be positive, got {sigma_gamma}")
-    if M <= 0.0:
-        raise ParameterError(f"M must be positive, got {M}")
+    if not (0.0 < sigma_gamma < math.inf):
+        raise ParameterError(f"sigma_gamma must be positive and finite, got {sigma_gamma}")
+    if not (0.0 < M < math.inf):
+        raise ParameterError(f"M must be positive and finite, got {M}")
 
 
 def optimal_c_gamma(gamma: float, sigma_gamma: float, M: float, gap: float) -> float:
@@ -98,13 +107,14 @@ class GradientNoise:
             raise ParameterError("gaussian noise requires alpha = 2.0")
         if not (0.0 < self.alpha <= 2.0):
             raise ParameterError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if self.scale <= 0.0:
-            raise ParameterError(f"scale must be positive, got {self.scale}")
+        if not (0.0 < self.scale < math.inf):
+            raise ParameterError(f"scale must be positive and finite, got {self.scale}")
 
-    def sample(self, shape, gen: np.random.Generator) -> np.ndarray:
+    def sample(self, shape, gen: np.random.Generator, *, time_major: bool = False) -> np.ndarray:
+        """Noise of ``shape``; with ``time_major``, one draw of shape[1:] per leading row."""
         if self.kind == "gaussian":
-            return self.scale * gen.normal(0.0, 1.0, shape)
-        return self.scale * sample_standard_sas(self.alpha, shape, gen)
+            return self.scale * sample_normal(1.0, shape, gen, time_major=time_major)
+        return self.scale * sample_standard_sas(self.alpha, shape, gen, time_major=time_major)
 
 
 @dataclass(frozen=True)
@@ -122,14 +132,16 @@ class ConvergenceConfig:
 
     def __post_init__(self):
         _check_constants(self.gamma, self.sigma_gamma, self.M)
-        if self.gap < 0.0:
-            raise ParameterError(f"gap must be nonnegative, got {self.gap}")
+        if not (0.0 <= self.gap < math.inf):
+            raise ParameterError(f"gap must be nonnegative and finite, got {self.gap}")
         if len(self.ks) < 1 or any(k < 1 for k in self.ks):
             raise ParameterError(f"ks must be positive iteration counts, got {self.ks}")
         if self.replicates < 1:
             raise ParameterError(f"replicates must be >= 1, got {self.replicates}")
-        if self.eta is not None and self.eta <= 0.0:
-            raise ParameterError(f"eta must be positive, got {self.eta}")
+        for name in ("stepsize_c", "eta"):
+            value = getattr(self, name)
+            if value is not None and not (0.0 < value < math.inf):
+                raise ParameterError(f"{name} must be positive and finite, got {value}")
 
     def eta_for(self, K: int) -> float:
         if self.eta is not None:
@@ -201,19 +213,21 @@ def run_convergence(
     w0 = np.atleast_1d(np.asarray(w0, dtype=float))
     if w0.size != spec.dim:
         raise ParameterError(f"w0 dim {w0.size} != objective dim {spec.dim}")
+    R = config.replicates
+    steps = max(1, NOISE_BLOCK // (R * w0.size))
     rows = []
     for i, K in enumerate(config.ks):
         eta = config.eta_for(K)
         gen = rng.substream(i).generator()
-        R = config.replicates
         W = np.tile(w0, (R, 1))
         grad_sq = np.full((K, R), np.nan)
         with np.errstate(all="ignore"):
             for k in range(K):
+                if k % steps == 0:
+                    U = noise.sample((min(steps, K - k), R, w0.size), gen, time_major=True)
                 G = spec.grad(W)
                 grad_sq[k] = np.sum(G * G, axis=1)
-                U = noise.sample((R, w0.size), gen)
-                W = W - eta * (G + U)
+                W = W - eta * (G + U[k % steps])
         # a lane is excluded from the step where it first went non-finite
         finite = np.isfinite(grad_sq)
         alive_counts = finite.sum(axis=1)

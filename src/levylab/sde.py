@@ -19,10 +19,10 @@ at any ensemble size and thread count, and invariant under changes of the
 stopping rule (enlarging an exit radius can only delay the recorded exit on
 the same path).  Ensembles scan a chunk exactly when the objective declares
 linear drift with 0 < 1 - eta*rate < 1, in tiles of TILE lanes that fill
-and scan on one thread per usable CPU.  Otherwise (and always in
-``simulate``) the per-step update keeps a chunk time-major: one thread per
-usable CPU fills the noise of a contiguous share of the lanes, then the
-calling thread steps the rows.
+and scan as tasks on the shared pool of ``parallel``, one thread per usable
+CPU.  Otherwise (and always in ``simulate``) the per-step update keeps a
+chunk time-major: one pool task per usable CPU fills the noise of a
+contiguous share of the lanes, then the calling thread steps the rows.
 Extreme draws are never truncated; an iterate that leaves float range halts
 its path with a divergence marker, which exit measurements count separately
 and never silently merge into exit statistics.
@@ -31,12 +31,12 @@ and never silently merge into exit statistics.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from . import parallel
 from .csvfmt import format_row
 from .errors import ParameterError
 from .objectives import ObjectiveSpec
@@ -64,9 +64,9 @@ class SdeConfig:
     def __post_init__(self):
         if not (self.eta > 0.0):
             raise ParameterError(f"eta must be positive, got {self.eta}")
-        if self.epsilon < 0.0:
+        if not (self.epsilon >= 0.0):
             raise ParameterError(f"epsilon must be nonnegative, got {self.epsilon}")
-        if self.sigma_brownian < 0.0:
+        if not (self.sigma_brownian >= 0.0):
             raise ParameterError(f"sigma_brownian must be nonnegative, got {self.sigma_brownian}")
         if not (0.0 < self.alpha <= 2.0):
             raise ParameterError(f"alpha must lie in (0, 2], got {self.alpha}")
@@ -183,44 +183,19 @@ def _scan_chunk_linear(inc, wa, rate, center, eta):
         inc += center
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
 def _fill_and_scan(config, gens, lanes, wa, L, scan):
-    """Noise fill and scan of one tile; returns its (T, L, d) positions and (T, L) finite mask.
-
-    numpy's error state belongs to the thread's context, so a pool thread
-    does not see the caller's and the task enters its own.
-    """
-    with np.errstate(all="ignore"):
-        W = np.empty((lanes.size, L, config.dim))
-        for i, rid in enumerate(lanes):
-            W[i] = noise_increments(config, L, gens[rid])
-        scan(W, wa)
-        return W, np.isfinite(W).all(axis=2)
+    """Noise fill and scan of one tile; returns its (T, L, d) positions and (T, L) finite mask."""
+    W = np.empty((lanes.size, L, config.dim))
+    for i, rid in enumerate(lanes):
+        W[i] = noise_increments(config, L, gens[rid])
+    scan(W, wa)
+    return W, np.isfinite(W).all(axis=2)
 
 
 def _fill_columns(config, gens, lanes, P, cols):
-    """Draw the noise of lanes[cols] into their columns of the (L, A, d) block P.
-
-    Shares write disjoint columns, and a pool thread enters its own error
-    state, as in ``_fill_and_scan``.
-    """
-    with np.errstate(all="ignore"):
-        for k in cols:
-            P[:, k] = noise_increments(config, P.shape[0], gens[lanes[k]])
-
-
-def _run_tasks(pool, fn, tasks):
-    """Results of ``fn(*task)`` in task order: on the pool if there is one, else inline and lazily."""
-    if pool is None:
-        return (fn(*task) for task in tasks)
-    futures = [pool.submit(fn, *task) for task in tasks]
-    return (f.result() for f in futures)
+    """Draw the noise of lanes[cols] into their (disjoint) columns of the (L, A, d) block P."""
+    for k in cols:
+        P[:, k] = noise_increments(config, P.shape[0], gens[lanes[k]])
 
 
 def _run_lanes(config, spec, streams, observe, literal=False):
@@ -256,37 +231,29 @@ def _run_lanes(config, spec, streams, observe, literal=False):
     active = np.arange(len(gens))
     done = 0
     L0 = _chunk_len(eta, config.max_steps)
-    workers = _usable_cpus()
-    pool = None
-    if len(gens) > (1 if drift is None else TILE) and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(workers)
-    try:
-        with np.errstate(all="ignore"):
-            while active.size and done < config.max_steps:
-                L = min(L0, config.max_steps - done)
-                if drift is None:
-                    P = np.empty((L, active.size, config.dim))
-                    shares = np.array_split(np.arange(active.size), min(workers, active.size))
-                    list(_run_tasks(pool, _fill_columns,
-                                    [(config, gens, active, P, cols) for cols in shares]))
-                    _scan_chunk_generic(P, w[active], spec, eta)
-                    blocks = [(active, (P.transpose(1, 0, 2), np.isfinite(P).all(axis=2).T))]
-                else:
-                    tiles = [active[s : s + TILE] for s in range(0, active.size, TILE)]
-                    blocks = zip(tiles, _run_tasks(pool, _fill_and_scan,
-                                                   [(config, gens, lanes, w[lanes], L, scan)
-                                                    for lanes in tiles]))
-                retire = []
-                for lanes, (W, finite) in blocks:
-                    retire.append(observe(lanes, done, W, finite) | ~finite.all(axis=1))
-                    w[lanes] = W[:, -1]
-                active = active[~np.concatenate(retire)]
-                done += L
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    workers = parallel.usable_cpus()
+    n_tasks = len(gens) if drift is None else -(-len(gens) // TILE)
+    with parallel.task_pool(n_tasks) as pool, np.errstate(all="ignore"):
+        while active.size and done < config.max_steps:
+            L = min(L0, config.max_steps - done)
+            if drift is None:
+                P = np.empty((L, active.size, config.dim))
+                shares = np.array_split(np.arange(active.size), min(workers, active.size))
+                list(parallel.run_tasks(pool, _fill_columns,
+                                        [(config, gens, active, P, cols) for cols in shares]))
+                _scan_chunk_generic(P, w[active], spec, eta)
+                blocks = [(active, (P.transpose(1, 0, 2), np.isfinite(P).all(axis=2).T))]
+            else:
+                tiles = [active[s : s + TILE] for s in range(0, active.size, TILE)]
+                blocks = zip(tiles, parallel.run_tasks(pool, _fill_and_scan,
+                                                       [(config, gens, lanes, w[lanes], L, scan)
+                                                        for lanes in tiles]))
+            retire = []
+            for lanes, (W, finite) in blocks:
+                retire.append(observe(lanes, done, W, finite) | ~finite.all(axis=1))
+                w[lanes] = W[:, -1]
+            active = active[~np.concatenate(retire)]
+            done += L
 
 
 def simulate(config: SdeConfig, spec: ObjectiveSpec, rng: RngStream) -> Trajectory:
@@ -389,7 +356,7 @@ def first_exit_ensemble(
     """
     if a <= 0.0:
         raise ParameterError(f"radius a must be positive, got {a}")
-    if xi < 0.0:
+    if not (xi >= 0.0):
         raise ParameterError(f"margin xi must be nonnegative, got {xi}")
     c = np.atleast_1d(np.asarray(center, dtype=float))
     if c.size != config.dim:

@@ -370,6 +370,7 @@ _BAD_INPUT_BASES = {
     "exit-time": {"alpha": "1.6", "eps": "0.5", "a": "0.5", "eta": "0.01", "reps": "5"},
     "transition": {"alpha": "1.2", "eps": "0.4", "eta": "0.01", "reps": "6"},
     "metastability": {"minima": "-1,2", "alpha": "1.3", "saddles": "0"},
+    "converge": {"d": "2", "ks": "20,40", "reps": "3", "sigma_samples": "500"},
 }
 
 
@@ -385,6 +386,12 @@ _BAD_INPUTS = [
     ("exit-time", "a", "inf", "step cap inf is not finite"),
     *[("transition", "reps", v, "n_replicates must") for v in ("-1", "0")],
     ("metastability", "saddles", "nan", "must be finite"),
+    ("exit-time", "sigma_brownian", "nan", "sigma_brownian must"),
+    ("exit-time", "xi", "nan", "xi must"),
+    *[("converge", key, value, f"key '{key}' must be finite")
+      for key, value in (("eta", "nan"), ("c", "nan"), ("gamma", "nan"), ("scale", "nan"),
+                         ("scale", "inf"), ("m_const", "nan"), ("sigma_gamma", "nan"),
+                         ("w0_scale", "nan"))],
 ]
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from levylab import convergence
 from levylab.convergence import (
     ConvergenceConfig,
     GradientNoise,
@@ -162,3 +163,36 @@ def test_rows_are_deterministic():
     a = run_convergence(spec, noise, cfg, w0, RngStream(86))
     b = run_convergence(spec, noise, cfg, w0, RngStream(86))
     assert a == b
+
+
+@pytest.mark.parametrize("kind, alpha", [("gaussian", 2.0), ("sas", 1.5)])
+def test_time_major_noise_equals_per_step_draws(kind, alpha):
+    noise = GradientNoise(kind, alpha, 3.0)
+    block_gen, step_gen = np.random.default_rng(87), np.random.default_rng(87)
+    block = noise.sample((9, 4, 3), block_gen, time_major=True)
+    assert np.array_equal(block, np.stack([noise.sample((4, 3), step_gen) for _ in range(9)]))
+    assert block_gen.random() == step_gen.random()
+
+
+def test_blocked_sweep_equals_per_step_draws(monkeypatch):
+    # 100 replicates in d 10 draw 8-step blocks; K = 70 ends on a 6-step
+    # block.  A block of one step per draw is the per-step reference.  The
+    # noise is mild enough that each minimum comes after the start, where
+    # the noise has acted.
+    spec, noise, w0 = quadratic(10), GradientNoise("sas", 1.5, 0.5), np.full(10, 4.0 / np.sqrt(10))
+    cfg = ConvergenceConfig(gamma=0.4, sigma_gamma=5.0, M=1.0, gap=float(spec.f(w0)),
+                            ks=(70, 200), replicates=100)
+    blocked = run_convergence(spec, noise, cfg, w0, RngStream(88))
+    assert all(r.min_grad_sq_mean < np.sum(spec.grad(w0) ** 2) for r in blocked)
+    monkeypatch.setattr(convergence, "NOISE_BLOCK", 1)
+    assert run_convergence(spec, noise, cfg, w0, RngStream(88)) == blocked
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_constants_refused(bad):
+    with pytest.raises(ParameterError, match="scale"):
+        GradientNoise("sas", 1.5, bad)
+    base = dict(gamma=0.5, sigma_gamma=1.0, M=1.0, gap=1.0, ks=(10, 100))
+    for key in ("sigma_gamma", "M", "gap", "eta", "stepsize_c"):
+        with pytest.raises(ParameterError, match=key):
+            ConvergenceConfig(**{**base, key: bad})

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from levylab import sde
+from levylab import parallel, sde
 from levylab.errors import ParameterError
 from levylab.objectives import ObjectiveSpec, double_well, quadratic
 from levylab.rng import RngStream
@@ -37,7 +37,7 @@ def _outcomes(records):
 
 def _threads(monkeypatch, n):
     """Run the engine as if n CPUs were usable."""
-    monkeypatch.setattr(sde, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: n)
 
 
 class _Alone:
@@ -71,11 +71,18 @@ def _declared_fast(monkeypatch, *args):
         dict(alpha=2.5),
         dict(sigma_brownian=-0.1),
         dict(max_steps=0),
+        dict(epsilon=float("nan")),
+        dict(sigma_brownian=float("nan")),
     ],
 )
 def test_config_validation(bad):
     with pytest.raises(ParameterError):
         _cfg(**bad)
+
+
+def test_exit_ensemble_refuses_nan_margin():
+    with pytest.raises(ParameterError, match="xi"):
+        first_exit_ensemble(_cfg(), quadratic(1), 0.0, 1.0, float("nan"), RngStream(0), 2)
 
 
 def test_noiseless_descent_is_geometric():

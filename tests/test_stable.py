@@ -5,7 +5,7 @@ import pytest
 
 from levylab.errors import ParameterError
 from levylab.rng import RngStream
-from levylab.stable import StableParams, sample_sas, unit_jump_scale
+from levylab.stable import StableParams, sample_sas, sample_standard_sas, unit_jump_scale
 
 
 def char_fn(params, omega):
@@ -79,3 +79,14 @@ def test_unit_jump_scale_positive_and_continuous_at_one():
         assert unit_jump_scale(alpha) > 0.0
     # the alpha=1 closed form is the limit of the general formula
     assert unit_jump_scale(1.0) == pytest.approx(unit_jump_scale(1.0 + 1e-9), rel=1e-5)
+
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2 / 3, 1.0, 1.5, 2.0])
+def test_time_major_block_equals_per_step_draws(alpha):
+    # 2/3 and 0.5 give exponents 0.5 and 2, where ** takes scalar fast paths
+    block_gen, step_gen = np.random.default_rng(31), np.random.default_rng(31)
+    block = sample_standard_sas(alpha, (9, 100, 10), block_gen, time_major=True)
+    steps = [sample_standard_sas(alpha, (100, 10), step_gen) for _ in range(9)]
+    assert np.array_equal(block, np.stack(steps))
+    assert block_gen.random() == step_gen.random()
