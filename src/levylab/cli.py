@@ -372,6 +372,19 @@ def _reject_unread(config: ExperimentConfig, reason: str, *keys: str) -> None:
             )
 
 
+def _require_finite(config: ExperimentConfig) -> None:
+    """Refuse a non-finite value in any float or list_float key of the command:
+    a NaN would pass the "> 0.0" tests of the runners as unset, or reach the run."""
+    for key, (kind, _) in SCHEMAS[config.command].items():
+        if kind not in ("float", "list_float"):
+            continue
+        value = config.parameters[key]
+        if not all(map(math.isfinite, value if kind == "list_float" else (value,))):
+            raise ParameterError(
+                f"{config.command}: key '{key}' must be finite, got {format_cell(value)}"
+            )
+
+
 def _build_objective(config: ExperimentConfig):
     p = config.parameters
     name = p["objective"]
@@ -462,11 +475,8 @@ def _run_transition(config: ExperimentConfig):
 
 
 def _run_converge(config: ExperimentConfig):
+    _require_finite(config)
     p = config.parameters
-    # a NaN would pass the "> 0.0" tests below as unset, or reach the run
-    for key, (kind, _) in SCHEMAS["converge"].items():
-        if kind == "float" and not math.isfinite(p[key]):
-            raise ParameterError(f"converge: key '{key}' must be finite, got {p[key]}")
     kind = p["noise"]
     if kind not in ("sas", "gaussian"):
         raise ConfigError(f"converge: noise must be 'sas' or 'gaussian', got {kind!r}")
@@ -531,6 +541,7 @@ def _load_data(config: ExperimentConfig, rng: RngStream) -> DatasetSplit:
 
 
 def _run_train(config: ExperimentConfig):
+    _require_finite(config)
     p = config.parameters
     if p["loss"] not in LOSS_KINDS:
         raise ConfigError(f"train: loss must be one of {LOSS_KINDS}, got {p['loss']!r}")
@@ -554,6 +565,7 @@ def _run_train(config: ExperimentConfig):
 
 
 def _run_sweep(config: ExperimentConfig):
+    _require_finite(config)
     p = config.parameters
     if p["loss"] not in LOSS_KINDS:
         raise ConfigError(f"sweep: loss must be one of {LOSS_KINDS}, got {p['loss']!r}")

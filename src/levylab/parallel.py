@@ -1,7 +1,9 @@
-"""The thread pool behind the ensemble engine.
+"""The thread pool behind the ensemble engine and the training loop.
 
 numpy releases the GIL inside its ufunc loops and generator fills, so
 independent pieces of one array computation run in parallel on threads.
+The ensemble engine splits its lanes into tasks; training runs its SGD steps
+as a task while the calling thread estimates the noise tails.
 A parallel section opens a pool of one thread per usable CPU (the process's
 CPU affinity), at most one per task, for its own duration, and shuts it on
 exit, also on error, so no thread outlives the call that made it.  Tasks
@@ -40,8 +42,12 @@ def _mark_pool_thread():
 def task_pool(n_tasks: int):
     """A pool for ``n_tasks`` tasks at a time, or None where they run inline.
 
-    None when there are fewer than two tasks or usable CPUs, or when the
-    caller is itself a pool thread.
+    ``n_tasks`` counts work done at once, so a caller that works between
+    submitting a task and reading its result counts its own work as one:
+    ``task_pool(2)`` lets one submitted task run beside the caller.  None
+    when there are fewer than two tasks or usable CPUs, or when the caller is
+    itself a pool thread; then each task runs on the calling thread when its
+    result is read.
     """
     workers = min(usable_cpus(), n_tasks)
     if workers < 2 or getattr(_local, "in_pool", False):

@@ -51,14 +51,15 @@ def estimate_alpha(samples: np.ndarray, k1: int) -> TailEstimate:
 
     Exact zeros are dropped first (log would diverge), the remainder after
     the last full block is truncated, and any block whose sum is exactly
-    zero is dropped together with its members.
+    zero is dropped together with its members.  ``samples`` is only read.
     """
     if k1 < 2:
         raise ParameterError(f"k1 must be >= 2, got {k1}")
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
         raise DegenerateInputError("empty sample pool")
-    nonzero = x[x != 0.0]
+    keep = x != 0.0
+    nonzero = x if keep.all() else x[keep]
     n_dropped = x.size - nonzero.size
     if nonzero.size == 0:
         raise DegenerateInputError("all samples are exactly zero")
@@ -80,7 +81,9 @@ def estimate_alpha(samples: np.ndarray, k1: int) -> TailEstimate:
         if k2 == 0:
             raise DegenerateInputError("every block sum is exactly zero")
     mean_log_y = np.log(np.abs(block_sums)).mean()
-    mean_log_x = np.log(np.abs(blocks)).mean()
+    # abs makes a fresh buffer of the blocks' shape, so the log may overwrite it
+    log_x = np.abs(blocks)
+    mean_log_x = np.log(log_x, out=log_x).mean()
     alpha_hat = math.log(k1) / (mean_log_y - mean_log_x)
     return TailEstimate(
         alpha_hat=float(alpha_hat),

@@ -5,10 +5,17 @@ minibatches in storage order; the deviations of those minibatch gradients
 from the full gradient form the noise pool whose tail index is estimated
 for the whole parameter vector and per layer.  The measurement happens at
 the current iterate before that iteration's update.
+
+The estimates of a logging step read only its pool, so they overlap the SGD
+steps up to the next logging step: those steps run as one task on a
+``parallel`` pool thread while the calling thread estimates.  Only that task
+touches the model and the minibatch generator, so rows and parameters are
+the same at any thread count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +25,7 @@ from .csvfmt import format_row
 from .datasets import DatasetSplit
 from .errors import DegenerateInputError, ParameterError
 from .mlp import MlpModel, accuracy, forward_backward, init_mlp
+from .parallel import run_tasks, task_pool
 from .rng import RngStream
 from .stability import stability_condition
 from .tail_index import TailEstimate, choose_block_size, estimate_alpha
@@ -77,50 +85,14 @@ def _pool_estimate(pool: np.ndarray) -> TailEstimate:
         )
 
 
-def layerwise_alpha(
-    grad_full: np.ndarray, grads_minibatch: np.ndarray, model: MlpModel
-) -> list[TailEstimate]:
+def layerwise_alpha(deviations: np.ndarray, model: MlpModel) -> list[TailEstimate]:
     """Tail estimates indexed 0..depth; 0 covers the whole parameter vector.
 
-    A layer whose pool is too small or degenerate comes back flagged
-    unreliable instead of raising.
+    ``deviations`` holds one minibatch-minus-full gradient per row.  A layer
+    whose pool is too small or degenerate comes back flagged unreliable
+    instead of raising.
     """
-    deviations = grads_minibatch - grad_full[None, :]
-    out = []
-    for sl in model.layer_slices():
-        out.append(_pool_estimate(deviations[:, sl].ravel()))
-    return out
-
-
-def _log_metrics(
-    model: MlpModel,
-    data: DatasetSplit,
-    b: int,
-    loss_kind: str,
-    iteration: int,
-    injection: GradientNoise | None,
-    measure_c_st: bool,
-    rng: RngStream,
-) -> TrainLogRow:
-    loss, g_full, grads = noise_pool_grads(model, data, b, loss_kind)
-    if injection is not None:
-        gen = rng.substream(iteration, 0).generator()
-        grads = g_full[None, :] + injection.sample(grads.shape, gen)
-    estimates = layerwise_alpha(g_full, grads, model)
-    c_st = None
-    if measure_c_st:
-        pool = (grads - g_full[None, :]).ravel()
-        report = stability_condition(pool, rng.substream(iteration, 1))
-        c_st = report.c_st
-    return TrainLogRow(
-        iteration=iteration,
-        train_acc=accuracy(model, data.train_x, data.train_y),
-        test_acc=accuracy(model, data.test_x, data.test_y),
-        loss=loss,
-        alpha_whole=estimates[0].alpha_hat,
-        alpha_layers=tuple(e.alpha_hat for e in estimates[1:]),
-        c_st=c_st,
-    )
+    return [_pool_estimate(deviations[:, sl].ravel()) for sl in model.layer_slices()]
 
 
 def train_with_tail_logging(
@@ -143,8 +115,8 @@ def train_with_tail_logging(
     ``injection`` set, each logging step measures draws of that noise in place
     of the minibatch deviations, so the estimators see a pool of known alpha.
     """
-    if eta <= 0.0:
-        raise ParameterError(f"eta must be positive, got {eta}")
+    if not 0.0 < eta < math.inf:
+        raise ParameterError(f"eta must be positive and finite, got {eta}")
     if iters < 1:
         raise ParameterError(f"iters must be >= 1, got {iters}")
     if log_every < 1:
@@ -153,16 +125,37 @@ def train_with_tail_logging(
         raise ParameterError(f"batch size {b} must lie in [1, {data.n_train}]")
     batch_gen = rng.substream(0).generator()
     log_stream = rng.substream(1)
+
+    def sgd_steps(n):
+        for _ in range(n):
+            _sgd_step(model, data, b, eta, loss_kind, batch_gen)
+
     rows: list[TrainLogRow] = []
-    for k in range(iters):
-        if k % log_every == 0:
-            row = _log_metrics(
-                model, data, b, loss_kind, k, injection, measure_c_st, log_stream
-            )
-            rows.append(row)
-            if row.train_acc >= 1.0:
-                return rows
-        _sgd_step(model, data, b, eta, loss_kind, batch_gen)
+    # two tasks at a time: the SGD steps on the pool, the estimates on this thread
+    with task_pool(2) as pool:
+        for k in range(0, iters, log_every):
+            loss, g_full, deviations = noise_pool_grads(model, data, b, loss_kind)
+            if injection is not None:
+                gen = log_stream.substream(k, 0).generator()
+                deviations = injection.sample(deviations.shape, gen)
+                deviations += g_full  # injected gradients, rounded like minibatch ones
+            deviations -= g_full
+            train_acc = accuracy(model, data.train_x, data.train_y)
+            test_acc = accuracy(model, data.test_x, data.test_y)
+            done = train_acc >= 1.0
+            steps = () if done else run_tasks(pool, sgd_steps, [(min(log_every, iters - k),)])
+            estimates = layerwise_alpha(deviations, model)
+            c_st = None
+            if measure_c_st:
+                c_st = stability_condition(deviations.ravel(), log_stream.substream(k, 1)).c_st
+            list(steps)  # the next pool build reads the model these steps move
+            rows.append(TrainLogRow(
+                iteration=k, train_acc=train_acc, test_acc=test_acc, loss=loss,
+                alpha_whole=estimates[0].alpha_hat,
+                alpha_layers=tuple(e.alpha_hat for e in estimates[1:]), c_st=c_st,
+            ))
+            if done:
+                break
     return rows
 
 

@@ -371,6 +371,10 @@ _BAD_INPUT_BASES = {
     "transition": {"alpha": "1.2", "eps": "0.4", "eta": "0.01", "reps": "6"},
     "metastability": {"minima": "-1,2", "alpha": "1.3", "saddles": "0"},
     "converge": {"d": "2", "ks": "20,40", "reps": "3", "sigma_samples": "500"},
+    "train": {"n": "240", "dim": "5", "classes": "3", "width": "8", "b": "20", "iters": "11",
+              "log_every": "10", "seed": "8"},
+    "sweep": {"n": "40", "classes": "2", "dim": "5", "widths": "8", "batch_sizes": "20",
+              "etas": "0.001", "iters": "5", "seed": "9"},
 }
 
 
@@ -392,6 +396,11 @@ _BAD_INPUTS = [
       for key, value in (("eta", "nan"), ("c", "nan"), ("gamma", "nan"), ("scale", "nan"),
                          ("scale", "inf"), ("m_const", "nan"), ("sigma_gamma", "nan"),
                          ("w0_scale", "nan"))],
+    *[("train", key, value, f"key '{key}' must be finite")
+      for key, value in (("eta", "nan"), ("eta", "inf"), ("spread", "nan"),
+                         ("inject_alpha", "nan"))],
+    *[("sweep", key, value, f"key '{key}' must be finite")
+      for key, value in (("etas", "0.001,nan"), ("etas", "inf"), ("spread", "nan"))],
 ]
 
 

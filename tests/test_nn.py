@@ -1,9 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from levylab import training
+from levylab import parallel, training
 from levylab.convergence import GradientNoise
 from levylab.datasets import synthetic_blobs
 from levylab.errors import ParameterError, ShapeError
@@ -153,7 +155,7 @@ def test_layerwise_separates_planted_tails():
     dev[:, slices[2]] = sample_standard_sas(
         1.2, (200, slices[2].stop - slices[2].start), gen
     )
-    estimates = layerwise_alpha(np.zeros(model.parameter_count), dev, model)
+    estimates = layerwise_alpha(dev, model)
     assert estimates[1].alpha_hat == pytest.approx(1.8, abs=0.15)
     assert estimates[2].alpha_hat == pytest.approx(1.2, abs=0.15)
     assert estimates[2].alpha_hat < estimates[0].alpha_hat < estimates[1].alpha_hat
@@ -166,7 +168,7 @@ def test_layerwise_whole_vector_recovers_injected_alpha():
     noises = np.stack(
         [sample_sas(StableParams(1.3, 1.0), 10_000, RngStream(45, i)) for i in range(10)]
     )
-    est = layerwise_alpha(np.zeros(10_000), noises, model)[0]
+    est = layerwise_alpha(noises, model)[0]
     assert 1.25 <= est.alpha_hat <= 1.35
 
 
@@ -174,14 +176,14 @@ def test_layerwise_whole_vector_gaussian_noise_is_two():
     model = init_mlp((99, 100), RngStream(0))
     gen = RngStream(46).generator()
     noises = np.stack([gen.normal(0.0, 1.0, 10_000) for _ in range(10)])
-    est = layerwise_alpha(np.zeros(10_000), noises, model)[0]
+    est = layerwise_alpha(noises, model)[0]
     assert abs(est.alpha_hat - 2.0) < 0.1
 
 
 def test_layerwise_flags_degenerate_pool():
     model = init_mlp((3, 4, 2), RngStream(141))
     dev = np.zeros((4, model.parameter_count))
-    estimates = layerwise_alpha(np.zeros(model.parameter_count), dev, model)
+    estimates = layerwise_alpha(dev, model)
     assert all(e.unreliable and np.isnan(e.alpha_hat) for e in estimates)
 
 
@@ -215,7 +217,52 @@ def test_training_rows_are_deterministic():
     assert all(len(r.csv_row().split(",")) == n_cols for r in a)
 
 
-def test_perfect_accuracy_stops_training():
+@pytest.mark.parametrize(
+    "iters, kwargs",
+    [(30, {"measure_c_st": True}), (30, {"injection": GradientNoise("sas", 1.3, 2.0)}),
+     (23, {"measure_c_st": True})],
+    ids=["c_st", "injection", "ragged"],
+)
+def test_overlapped_training_equals_serial(monkeypatch, iters, kwargs):
+    data = synthetic_blobs(120, 5, 2, 1.0, RngStream(156))
+    sgd_step, step_threads = training._sgd_step, set()
+
+    def recorded(*args):
+        step_threads.add(threading.current_thread())
+        sgd_step(*args)
+
+    monkeypatch.setattr(training, "_sgd_step", recorded)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda c=cpus: c)
+        step_threads.clear()
+        model = init_mlp((5, 12, 2), RngStream(157))
+        rows = train_with_tail_logging(
+            model, data, 12, 0.05, iters, "nll", RngStream(158), log_every=10, **kwargs
+        )
+        runs.append(([r.csv_row() for r in rows], model.get_params(), set(step_threads)))
+    (rows1, params1, threads1), (rows2, params2, threads2) = runs
+    assert len(rows1) == len(range(0, iters, 10)) and rows1 == rows2
+    assert np.array_equal(params1, params2)
+    assert threads1 == {threading.main_thread()}
+    assert threads2 and threading.main_thread() not in threads2
+
+
+@pytest.mark.parametrize("eta", [0.0, float("nan"), float("inf")])
+def test_training_refuses_a_bad_stepsize(eta):
+    data = synthetic_blobs(40, 2, 2, 1.0, RngStream(159))
+    with pytest.raises(ParameterError, match="eta must"):
+        train_with_tail_logging(init_mlp((2, 2), RngStream(160)), data, 4, eta, 5, "nll",
+                                RngStream(161))
+
+
+def test_perfect_accuracy_stops_training(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("an SGD step ran after a perfect logging step")
+
+    # two CPUs: the steps after a logging step would run beside its estimates
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(training, "_sgd_step", no_step)
     data = synthetic_blobs(40, 2, 2, 0.0, RngStream(148))
     model = _identity_model(2)
     # map each center onto its own logit so the start iterate is already perfect

@@ -31,6 +31,21 @@ def test_one_task_or_one_cpu_runs_inline(monkeypatch, n_tasks, cpus):
             threading.main_thread()]
 
 
+def test_two_task_section_runs_one_task_beside_the_caller(two_cpus):
+    started, released = threading.Event(), threading.Event()
+
+    def task():
+        started.set()
+        return released.wait(timeout=10), threading.current_thread()
+
+    with parallel.task_pool(2) as pool:
+        results = parallel.run_tasks(pool, task, [()])
+        assert started.wait(timeout=10)  # the task runs before its result is read
+        released.set()
+        ((waited, thread),) = results
+    assert waited and thread is not threading.main_thread()
+
+
 def test_section_opened_in_a_pool_task_runs_inline(two_cpus):
     def nested():
         with parallel.task_pool(4) as inner:

@@ -47,6 +47,19 @@ def test_cancelled_block_dropped():
     assert est.n_dropped == 4
 
 
+@pytest.mark.parametrize("zeros, cancel", [(0, False), (13, False), (0, True), (13, True)])
+def test_input_pool_is_left_unchanged(zeros, cancel):
+    gen = RngStream(30).generator()
+    x = np.concatenate([np.zeros(zeros), gen.standard_cauchy(400)])
+    if cancel:
+        x[zeros : zeros + 20] = [1.0, -1.0] * 10  # the first block sums to zero
+    before = x.copy()
+    est = estimate_alpha(x, 20)
+    assert np.array_equal(x, before)
+    assert est.n_dropped == zeros + 20 * cancel
+    assert est.alpha_hat == estimate_alpha(before[zeros:], 20).alpha_hat
+
+
 def test_small_k1_rejected():
     with pytest.raises(ParameterError):
         estimate_alpha(np.ones(100), 1)
