@@ -140,10 +140,7 @@ def _loss_grad_logits(logits: np.ndarray, y: np.ndarray, loss_kind: str):
     raise ParameterError(f"loss_kind must be one of {LOSS_KINDS}, got {loss_kind!r}")
 
 
-def forward_backward(
-    model: MlpModel, x: np.ndarray, y: np.ndarray, loss_kind: str
-) -> tuple[float, np.ndarray]:
-    """Batch-mean loss and the exact flat gradient over all parameters."""
+def _backprop(model, x, y, loss_kind):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -166,10 +163,29 @@ def forward_backward(
     for gw, gb in reversed(grads):
         parts.append(gw.ravel())
         parts.append(gb.ravel())
-    return loss, np.concatenate(parts)
+    return loss, np.concatenate(parts), logits
+
+
+def _hit_rate(logits, y) -> float:
+    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
+
+
+def forward_backward(
+    model: MlpModel, x: np.ndarray, y: np.ndarray, loss_kind: str
+) -> tuple[float, np.ndarray]:
+    """Batch-mean loss and the exact flat gradient over all parameters."""
+    loss, grad, _ = _backprop(model, x, y, loss_kind)
+    return loss, grad
+
+
+def forward_backward_accuracy(
+    model: MlpModel, x: np.ndarray, y: np.ndarray, loss_kind: str
+) -> tuple[float, np.ndarray, float]:
+    """``forward_backward`` plus the accuracy of the same forward pass."""
+    loss, grad, logits = _backprop(model, x, y, loss_kind)
+    return loss, grad, _hit_rate(logits, y)
 
 
 def accuracy(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     """Fraction of argmax predictions matching the labels."""
-    logits = model.forward(x)
-    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
+    return _hit_rate(model.forward(x), y)

@@ -2,8 +2,10 @@
 
 numpy releases the GIL inside its ufunc loops and generator fills, so
 independent pieces of one array computation run in parallel on threads.
-The ensemble engine splits its lanes into tasks; training runs its SGD steps
-as a task while the calling thread estimates the noise tails.
+The ensemble engine splits its lanes into tasks; training runs its
+minibatch gradients as a task while the calling thread runs the full-batch
+pass, and its SGD steps as a task while the calling thread estimates the
+noise tails.
 A parallel section opens a pool of one thread per usable CPU (the process's
 CPU affinity), at most one per task, for its own duration, and shuts it on
 exit, also on error, so no thread outlives the call that made it.  Tasks

@@ -74,14 +74,14 @@ def stability_condition(
         raise ParameterError(f"threshold must be nonnegative, got {threshold}")
     gen = rng.generator()
 
-    shuffled = x[gen.permutation(x.size)]
+    shuffled = gen.permutation(x)
     m = x.size // 3
     part_x = shuffled[:m]
     pair_sum = shuffled[m : 2 * m] + shuffled[2 * m : 3 * m]
     alpha_x = _subset_alpha(part_x)
     alpha_12 = _subset_alpha(pair_sum)
 
-    shuffled = x[gen.permutation(x.size)]
+    shuffled = gen.permutation(x)
     m = x.size // 4
     part_xp = shuffled[:m]
     triple_sum = shuffled[m : 2 * m] + shuffled[2 * m : 3 * m] + shuffled[3 * m : 4 * m]

@@ -6,11 +6,14 @@ from the full gradient form the noise pool whose tail index is estimated
 for the whole parameter vector and per layer.  The measurement happens at
 the current iterate before that iteration's update.
 
-The estimates of a logging step read only its pool, so they overlap the SGD
-steps up to the next logging step: those steps run as one task on a
-``parallel`` pool thread while the calling thread estimates.  Only that task
-touches the model and the minibatch generator, so rows and parameters are
-the same at any thread count.
+The pool build splits in two: the minibatch gradients run as one task on a
+``parallel`` pool thread while the calling thread runs the full-batch pass,
+whose logits also give the train accuracy.  Both only read the model.  The
+estimates of a logging step read only its pool, so they overlap the SGD
+steps up to the next logging step: those steps run as one pool task while
+the calling thread estimates.  Only that task touches the model and the
+minibatch generator, so rows and parameters are the same at any thread
+count.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .convergence import GradientNoise
 from .csvfmt import format_row
 from .datasets import DatasetSplit
 from .errors import DegenerateInputError, ParameterError
-from .mlp import MlpModel, accuracy, forward_backward, init_mlp
+from .mlp import MlpModel, accuracy, forward_backward, forward_backward_accuracy, init_mlp
 from .parallel import run_tasks, task_pool
 from .rng import RngStream
 from .stability import stability_condition
@@ -55,25 +58,33 @@ class TrainLogRow:
 
 def noise_pool_grads(
     model: MlpModel, data: DatasetSplit, b: int, loss_kind: str
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Full-train loss and gradient plus disjoint minibatch gradients.
+) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """Full-train loss and gradient, disjoint minibatch gradients, train accuracy.
 
     The partition walks the training set in storage order; when b does not
     divide n_train the remainder is left out of the pool.  Returns
-    (loss, full_grad, minibatch_grads of shape (n_train//b, d)).
+    (loss, full_grad, minibatch_grads of shape (n_train//b, d), train_acc).
+    The minibatch rows run as one pool task beside the full-batch pass.
     """
     n = data.n_train
     if not (1 <= b <= n):
         raise ParameterError(f"batch size {b} must lie in [1, {n}]")
-    loss, g_full = forward_backward(model, data.train_x, data.train_y, loss_kind)
-    n_batches = n // b
-    grads = np.empty((n_batches, g_full.size))
-    for i in range(n_batches):
-        sl = slice(i * b, (i + 1) * b)
-        _, grads[i] = forward_backward(
-            model, data.train_x[sl], data.train_y[sl], loss_kind
+    grads = np.empty((n // b, model.parameter_count))
+
+    def minibatch_rows():
+        for i in range(grads.shape[0]):
+            sl = slice(i * b, (i + 1) * b)
+            _, grads[i] = forward_backward(
+                model, data.train_x[sl], data.train_y[sl], loss_kind
+            )
+
+    with task_pool(2) as pool:
+        rows = run_tasks(pool, minibatch_rows, [()])
+        loss, g_full, train_acc = forward_backward_accuracy(
+            model, data.train_x, data.train_y, loss_kind
         )
-    return loss, g_full, grads
+        list(rows)
+    return loss, g_full, grads, train_acc
 
 
 def _pool_estimate(pool: np.ndarray) -> TailEstimate:
@@ -131,31 +142,37 @@ def train_with_tail_logging(
             _sgd_step(model, data, b, eta, loss_kind, batch_gen)
 
     rows: list[TrainLogRow] = []
-    # two tasks at a time: the SGD steps on the pool, the estimates on this thread
-    with task_pool(2) as pool:
-        for k in range(0, iters, log_every):
-            loss, g_full, deviations = noise_pool_grads(model, data, b, loss_kind)
-            if injection is not None:
-                gen = log_stream.substream(k, 0).generator()
-                deviations = injection.sample(deviations.shape, gen)
-                deviations += g_full  # injected gradients, rounded like minibatch ones
-            deviations -= g_full
-            train_acc = accuracy(model, data.train_x, data.train_y)
-            test_acc = accuracy(model, data.test_x, data.test_y)
-            done = train_acc >= 1.0
+    for k in range(0, iters, log_every):
+        if injection is None:
+            loss, g_full, deviations, train_acc = noise_pool_grads(model, data, b, loss_kind)
+        else:
+            loss, g_full, train_acc = forward_backward_accuracy(
+                model, data.train_x, data.train_y, loss_kind
+            )
+            gen = log_stream.substream(k, 0).generator()
+            deviations = injection.sample((data.n_train // b, g_full.size), gen)
+            deviations += g_full  # injected gradients, rounded like minibatch ones
+        deviations -= g_full
+        test_acc = accuracy(model, data.test_x, data.test_y)
+        done = train_acc >= 1.0
+        # two tasks at a time: the SGD steps on the pool, the estimates on this
+        # thread.  Like the pool build's, this pool lives for its section only,
+        # so one worker thread, with one allocator arena, lives at a time.
+        with task_pool(2) as pool:
             steps = () if done else run_tasks(pool, sgd_steps, [(min(log_every, iters - k),)])
             estimates = layerwise_alpha(deviations, model)
             c_st = None
             if measure_c_st:
                 c_st = stability_condition(deviations.ravel(), log_stream.substream(k, 1)).c_st
             list(steps)  # the next pool build reads the model these steps move
-            rows.append(TrainLogRow(
-                iteration=k, train_acc=train_acc, test_acc=test_acc, loss=loss,
-                alpha_whole=estimates[0].alpha_hat,
-                alpha_layers=tuple(e.alpha_hat for e in estimates[1:]), c_st=c_st,
-            ))
-            if done:
-                break
+        del deviations  # free before the next pool build allocates its own
+        rows.append(TrainLogRow(
+            iteration=k, train_acc=train_acc, test_acc=test_acc, loss=loss,
+            alpha_whole=estimates[0].alpha_hat,
+            alpha_layers=tuple(e.alpha_hat for e in estimates[1:]), c_st=c_st,
+        ))
+        if done:
+            break
     return rows
 
 
@@ -234,6 +251,9 @@ def noise_scale_sweep(
     for b in batch_sizes:
         if not (1 <= b <= data.n_train):
             raise ParameterError(f"batch size {b} must lie in [1, {data.n_train}]")
+    for eta in etas:
+        if not 0.0 < eta < math.inf:
+            raise ParameterError(f"eta must be positive and finite, got {eta}")
     cells = []
     cell_id = 0
     for width in widths:
@@ -249,7 +269,9 @@ def noise_scale_sweep(
                         for _ in range(iters):
                             _sgd_step(model, data, b, eta, loss_kind, batch_gen)
                         params_ok = bool(np.isfinite(model.get_params()).all())
-                        loss, g_full, grads = noise_pool_grads(model, data, b, loss_kind)
+                        loss, g_full, grads, tr_acc = noise_pool_grads(
+                            model, data, b, loss_kind
+                        )
                     diverged = not (params_ok and np.isfinite(loss) and
                                     np.isfinite(grads).all())
                     if diverged:
@@ -258,7 +280,6 @@ def noise_scale_sweep(
                     else:
                         est = _pool_estimate((grads - g_full[None, :]).ravel())
                         alpha_hat = est.alpha_hat
-                        tr_acc = accuracy(model, data.train_x, data.train_y)
                         te_acc = accuracy(model, data.test_x, data.test_y)
                     cells.append(
                         SweepCell(

@@ -188,7 +188,7 @@ def test_backprop_and_noise_pool():
             worst = max(worst, np.linalg.norm(fd - g) / np.linalg.norm(g))
     data = synthetic_blobs(60, 4, 2, 1.0, RngStream(252))
     pool_model = init_mlp((4, 8, 2), RngStream(253))
-    _, g_full, grads = noise_pool_grads(pool_model, data, 10, "nll")
+    _, g_full, grads, _ = noise_pool_grads(pool_model, data, 10, "nll")
     pool_err = float(np.abs(grads.mean(axis=0) - g_full).max())
     _verdict(
         "backprop and noise pool",

@@ -401,6 +401,7 @@ _BAD_INPUTS = [
                          ("inject_alpha", "nan"))],
     *[("sweep", key, value, f"key '{key}' must be finite")
       for key, value in (("etas", "0.001,nan"), ("etas", "inf"), ("spread", "nan"))],
+    *[("sweep", "etas", v, f"eta must be positive and finite, got {v}") for v in ("-0.5", "0")],
 ]
 
 

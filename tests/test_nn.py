@@ -1,4 +1,5 @@
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -131,7 +132,7 @@ def test_backprop_matches_finite_differences(loss_kind):
 def test_minibatch_gradients_average_to_full():
     data = synthetic_blobs(60, 4, 2, 1.0, RngStream(137))
     model = init_mlp((4, 8, 2), RngStream(138))
-    _, g_full, grads = noise_pool_grads(model, data, 10, "nll")
+    _, g_full, grads, _ = noise_pool_grads(model, data, 10, "nll")
     assert grads.shape == (6, model.parameter_count)
     assert np.allclose(grads.mean(axis=0), g_full, atol=1e-12)
 
@@ -139,11 +140,57 @@ def test_minibatch_gradients_average_to_full():
 def test_full_batch_pool_is_degenerate():
     data = synthetic_blobs(60, 4, 2, 1.0, RngStream(137))
     model = init_mlp((4, 8, 2), RngStream(138))
-    _, g_full, grads = noise_pool_grads(model, data, 60, "nll")
+    _, g_full, grads, _ = noise_pool_grads(model, data, 60, "nll")
     assert grads.shape[0] == 1
     assert np.allclose(grads[0], g_full, atol=1e-12)
     with pytest.raises(ParameterError):
         noise_pool_grads(model, data, 0, "nll")
+
+
+def _record_minibatch_threads(monkeypatch):
+    # the full-batch pass goes through forward_backward_accuracy, so only
+    # the minibatch rows and the SGD steps reach training.forward_backward
+    forward_backward_, threads = training.forward_backward, set()
+
+    def recorded(*args):
+        threads.add(threading.current_thread())
+        return forward_backward_(*args)
+
+    monkeypatch.setattr(training, "forward_backward", recorded)
+    return threads
+
+
+@pytest.mark.parametrize("b", [10, 60])
+def test_split_pool_build_equals_serial(monkeypatch, b):
+    data = synthetic_blobs(200, 5, 2, 1.0, RngStream(162))
+    model = init_mlp((5, 12, 2), RngStream(163))
+    threads = _record_minibatch_threads(monkeypatch)
+    builds = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda c=cpus: c)
+        threads.clear()
+        builds.append((noise_pool_grads(model, data, b, "nll"), set(threads)))
+    ((loss1, g1, grads1, acc1), threads1), ((loss2, g2, grads2, acc2), threads2) = builds
+    assert grads1.shape == (data.n_train // b, model.parameter_count)
+    assert loss1 == loss2 and np.array_equal(g1, g2) and np.array_equal(grads1, grads2)
+    assert acc1 == acc2 == accuracy(model, data.train_x, data.train_y)
+    assert threads1 == {threading.main_thread()}
+    assert threads2 and threading.main_thread() not in threads2
+
+
+def test_split_pool_build_keeps_the_sweep_error_state(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    threads = _record_minibatch_threads(monkeypatch)
+    data = synthetic_blobs(40, 5, 2, 1.0, RngStream(152))
+    # one huge step leaves finite parameters whose minibatch products overflow
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cells, _ = noise_scale_sweep(
+            data, (8,), (2,), (20,), (1e200,), "nll", 1, RngStream(153)
+        )
+    assert cells[0].diverged
+    assert threads - {threading.main_thread()}  # the minibatch rows ran on the pool
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_layerwise_separates_planted_tails():

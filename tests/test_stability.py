@@ -5,6 +5,7 @@ from levylab.errors import ParameterError
 from levylab.rng import RngStream
 from levylab.stability import StabilityReport, stability_condition
 from levylab.stable import StableParams, sample_sas
+from levylab.tail_index import choose_block_size, estimate_alpha
 
 
 def _report(c_st, threshold=0.05):
@@ -48,6 +49,34 @@ def test_statistic_definition():
     expected = max(abs(rep.alpha_x - rep.alpha_12), abs(rep.alpha_xp - rep.alpha_123))
     assert rep.c_st == pytest.approx(expected, abs=1e-15)
     assert rep.c_st >= 0.0
+
+
+def _gather_shuffle_report(x, rng):
+    """The report computed with index-gather shuffles, ``x[gen.permutation(n)]``."""
+
+    def alpha(values):
+        return estimate_alpha(values, choose_block_size(values.size)).alpha_hat
+
+    gen = rng.generator()
+    shuffled = x[gen.permutation(x.size)]
+    m = x.size // 3
+    alpha_x, alpha_12 = alpha(shuffled[:m]), alpha(shuffled[m : 2 * m] + shuffled[2 * m : 3 * m])
+    shuffled = x[gen.permutation(x.size)]
+    m = x.size // 4
+    alpha_xp = alpha(shuffled[:m])
+    alpha_123 = alpha(shuffled[m : 2 * m] + shuffled[2 * m : 3 * m] + shuffled[3 * m : 4 * m])
+    return StabilityReport(
+        alpha_x=alpha_x, alpha_12=alpha_12, alpha_xp=alpha_xp, alpha_123=alpha_123,
+        c_st=max(abs(alpha_x - alpha_12), abs(alpha_xp - alpha_123)), threshold=0.05,
+    )
+
+
+@pytest.mark.parametrize("n", [24, 25, 1000, 12347])
+def test_in_place_shuffle_matches_index_gather(n):
+    draws = sample_sas(StableParams(1.4, 1.0), n, RngStream(60 + n))
+    kept = draws.copy()
+    assert stability_condition(draws, RngStream(61)) == _gather_shuffle_report(kept, RngStream(61))
+    assert np.array_equal(draws, kept)
 
 
 def test_insufficient_samples_rejected():
