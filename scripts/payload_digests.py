@@ -7,7 +7,8 @@ quadratic exit-time run spans two lane tiles of the engine, the second with
 one lane; the 33-replicate double-well run takes the per-step scan over two
 chunks, with its noise fill split into shares of an odd number of lanes.
 The `converge-blocks` run draws its noise in blocks of 8 steps, the last
-block of each K ragged.
+block of each K ragged.  Every listed value of every enumerated key runs at
+least once, except `--source mnist`, which needs IDX files.
 
 Each command writes into a fresh temporary $LEVYLAB_OUT; the wall-time line
 is stripped before hashing, so two checkouts that produce the same payloads
@@ -31,6 +32,7 @@ RUNS = [
     "estimate --alpha 1.5 --n 5000 --seed 2",
     "stability --source mixture --n 3000 --seed 3",
     "stability --alpha 1.5 --n 3000 --threshold 5 --seed 3 --output stability-sas.csv",
+    "stability --source gaussian --n 3000 --seed 3 --output stability-gaussian.csv",
     "exit-time --objective quadratic --alpha 1.6 --eps 0.5 --a 1.0 --eta 0.01 --reps 20"
     " --seed 4 --output exit-quadratic.csv --records_output exit-quadratic-records.csv",
     "exit-time --objective quadratic --dim 2 --alpha 1.8 --eps 0.1 --a 1.0 --eta 0.01"
@@ -50,12 +52,18 @@ RUNS = [
     "metastability --minima -1,2,4 --saddles 0,3 --alpha 1.3",
     "converge --noise sas --d 2 --ks 50,100 --reps 5 --sigma_samples 2000 --seed 7",
     "converge --noise sas --d 10 --ks 203,410 --reps 100 --seed 14 --output converge-blocks.csv",
+    "converge --noise gaussian --d 2 --ks 50,100 --reps 5 --sigma_samples 2000 --seed 7"
+    " --output converge-gaussian.csv",
     "train --n 240 --dim 5 --classes 3 --width 8 --b 20 --iters 21 --log_every 10"
     " --measure_c_st true --seed 8",
     "train --n 240 --dim 5 --classes 3 --width 8 --depth 2 --b 20 --iters 11 --log_every 10"
     " --seed 8 --output train-depth2.csv",
     "train --n 240 --dim 5 --classes 3 --width 8 --b 20 --iters 11 --log_every 10"
     " --inject_alpha 1.3 --inject_scale 2 --seed 8 --output train-inject.csv",
+    "train --n 240 --dim 5 --classes 3 --width 8 --b 20 --iters 11 --log_every 10"
+    " --loss linear_hinge --seed 8 --output train-hinge.csv",
+    "train --n 240 --dim 5 --classes 3 --width 8 --b 20 --iters 11 --log_every 10"
+    " --init mean_field --seed 8 --output train-mean-field.csv",
     "sweep --n 40 --classes 2 --dim 5 --widths 8 --batch_sizes 20 --etas 0.001,1e60"
     " --iters 5 --seed 9",
 ]

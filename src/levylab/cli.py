@@ -5,6 +5,10 @@ lists; command-line flags override file values.  Parsing is strict: an
 unknown, duplicate, or missing required key is fatal, because a silently
 ignored typo in an experiment parameter corrupts conclusions downstream.
 
+Every key's schema entry states its whole domain, and parsing applies it:
+a float or float-list value must be finite, and an enumerated key takes only
+the values it lists, so no runner ever sees a value outside its domain.
+
 Every result file opens with a provenance block (command, config hash,
 seed, the full resolved configuration, wall time).  Payloads are
 byte-reproducible for a fixed config; only the wall-time line varies.
@@ -16,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -63,7 +66,8 @@ OUT_DIR_ENV = "LEVYLAB_OUT"
 
 _REQUIRED = object()
 
-# key -> (kind, default); kinds: int float str bool list_int list_float.
+# key -> (kind, default); kinds: int float str bool list_int list_float, or a
+# tuple of the only strings an enumerated key takes.  Floats must be finite.
 # A key shared by several commands is declared once, in the group below that
 # holds it; keys whose default differs by command stay in the command.
 _COMMON = {"seed": ("int", 0), "output": ("str", ""), "format": ("str", "")}
@@ -78,13 +82,13 @@ _VALLEY_RUN = {
     "alpha": ("float", _REQUIRED),
     "eps": ("float", _REQUIRED),
     "eta": ("float", 1e-3),
-    "noise_scaling": ("str", "jump"),
+    "noise_scaling": (("jump", "cf"), "jump"),
     "time_cap_factor": ("float", 8.0),
     "max_diverged_fraction": ("float", 0.5),
     "records_output": ("str", ""),
 }
 _DATA = {
-    "source": ("str", "blobs"),
+    "source": (("blobs", "mnist"), "blobs"),
     "dim": ("int", 20),
     "classes": ("int", 10),
     "spread": ("float", 2.0),
@@ -95,12 +99,12 @@ _DATA = {
     "subsample": ("int", 0),
 }
 
-SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
+SCHEMAS: dict[str, dict[str, tuple[str | tuple[str, ...], object]]] = {
     "sample": {**_COMMON, **_SAS},
     "estimate": {**_COMMON, **_SAS, "k1": ("int", 0)},
     "stability": {
         **_COMMON,
-        "source": ("str", "sas"),
+        "source": (("sas", "gaussian", "mixture"), "sas"),
         "alpha": ("float", 0.0),
         "n": ("int", _REQUIRED),
         "threshold": ("float", 0.05),
@@ -110,7 +114,7 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         **_COMMON,
         **_WELL,
         **_VALLEY_RUN,
-        "objective": ("str", "quadratic"),
+        "objective": (("quadratic", "double_well"), "quadratic"),
         "dim": ("int", 1),
         "a": ("float", _REQUIRED),
         "xi": ("float", 0.0),
@@ -132,7 +136,7 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
     },
     "converge": {
         **_COMMON,
-        "noise": ("str", "sas"),
+        "noise": (("sas", "gaussian"), "sas"),
         "alpha": ("float", 1.5),
         "gamma": ("float", 0.0),
         "scale": ("float", 1.0),
@@ -156,12 +160,12 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "b": ("int", 100),
         "eta": ("float", 0.1),
         "iters": ("int", 1000),
-        "loss": ("str", "nll"),
+        "loss": (LOSS_KINDS, "nll"),
         "log_every": ("int", 100),
         "measure_c_st": ("bool", False),
         "inject_alpha": ("float", 0.0),
         "inject_scale": ("float", 1.0),
-        "init": ("str", "fan_in"),
+        "init": (("fan_in", "mean_field"), "fan_in"),
     },
     "sweep": {
         **_COMMON,
@@ -171,7 +175,7 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "depths": ("list_int", (2,)),
         "batch_sizes": ("list_int", _REQUIRED),
         "etas": ("list_float", _REQUIRED),
-        "loss": ("str", "nll"),
+        "loss": (LOSS_KINDS, "nll"),
         "iters": ("int", 300),
         "groups_output": ("str", "sweep_groups.csv"),
         "max_diverged_fraction": ("float", 0.5),
@@ -206,42 +210,55 @@ class RunResult:
     document: dict | None = None
 
 
-def _convert(command: str, key: str, value, kind: str):
-    if not isinstance(value, str):
-        return value  # already typed (defaults)
-    sval = value.strip()
+def _read_bool(text: str) -> bool:
+    if text.lower() in ("true", "1", "yes"):
+        return True
+    if text.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(text)
+
+
+def _read_list(read):
+    return lambda text: tuple(read(p) for p in text.split(",") if p.strip())
+
+
+_READERS = {"int": int, "float": float, "str": str, "bool": _read_bool,
+            "list_int": _read_list(int), "list_float": _read_list(float)}
+
+
+def _convert(command: str, key: str, value: str, kind):
+    """``value`` read as ``kind`` and checked against the key's domain.
+
+    A non-finite float would pass the runners' ``> 0.0`` tests as unset or
+    reach the run, so it is refused like any other value outside the domain.
+    """
+    text = value.strip()
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ConfigError(
+                f"{command}: key '{key}' must be one of {', '.join(kind)}, got {text!r}"
+            )
+        return text
     try:
-        if kind == "int":
-            return int(sval)
-        if kind == "float":
-            return float(sval)
-        if kind == "str":
-            return sval
-        if kind == "bool":
-            if sval.lower() in ("true", "1", "yes"):
-                return True
-            if sval.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(sval)
-        if kind == "list_int":
-            return tuple(int(p.strip()) for p in sval.split(",") if p.strip())
-        if kind == "list_float":
-            return tuple(float(p.strip()) for p in sval.split(",") if p.strip())
+        typed = _READERS[kind](text)
     except ValueError:
         raise ConfigError(
             f"{command}: key '{key}' expects {kind}, got {value!r}"
         ) from None
-    raise ConfigError(f"{command}: key '{key}' has unsupported kind {kind}")
+    if kind in ("float", "list_float") and not np.isfinite(typed).all():
+        raise ParameterError(f"{command}: key '{key}' must be finite, got {format_cell(typed)}")
+    return typed
 
 
 def parse_config(
-    text: str, command_override: str | None = None, overrides: dict | None = None
+    text: str, command_override: str | None = None, overrides: dict[str, str] | None = None
 ) -> ExperimentConfig:
     """Typed config from `key = value` text, with flag overrides applied.
 
     The command comes from a `command = ...` line or from the override; if
     both are given they must agree.  Unknown, duplicate, or missing required
-    keys are fatal and named in the diagnostic.
+    keys, and values outside a key's domain, are fatal and named in the
+    diagnostic.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -372,30 +389,14 @@ def _reject_unread(config: ExperimentConfig, reason: str, *keys: str) -> None:
             )
 
 
-def _require_finite(config: ExperimentConfig) -> None:
-    """Refuse a non-finite value in any float or list_float key of the command:
-    a NaN would pass the "> 0.0" tests of the runners as unset, or reach the run."""
-    for key, (kind, _) in SCHEMAS[config.command].items():
-        if kind not in ("float", "list_float"):
-            continue
-        value = config.parameters[key]
-        if not all(map(math.isfinite, value if kind == "list_float" else (value,))):
-            raise ParameterError(
-                f"{config.command}: key '{key}' must be finite, got {format_cell(value)}"
-            )
-
-
 def _build_objective(config: ExperimentConfig):
     p = config.parameters
-    name = p["objective"]
-    if name == "quadratic":
+    if p["objective"] == "quadratic":
         _reject_unread(config, "objective = quadratic", *_WELL)
         return quadratic(p["dim"]), tuple([0.0] * p["dim"])
-    if name == "double_well":
-        _reject_unread(config, "objective = double_well", "dim")
-        spec = double_well(p["m1"], p["m2"], p["scale"])
-        return spec, (start_minimum(spec, p["start_basin"]),)
-    raise ConfigError(f"objective must be 'quadratic' or 'double_well', got {name!r}")
+    _reject_unread(config, "objective = double_well", "dim")
+    spec = double_well(p["m1"], p["m2"], p["scale"])
+    return spec, (start_minimum(spec, p["start_basin"]),)
 
 
 def _run_sample(config: ExperimentConfig):
@@ -426,15 +427,11 @@ def _run_stability(config: ExperimentConfig):
     elif p["source"] == "gaussian":
         _reject_unread(config, "source = gaussian", "alpha", "shift")
         pool = gen.normal(0.0, 1.0, n)
-    elif p["source"] == "mixture":
+    else:
         _reject_unread(config, "source = mixture", "alpha")
         pool = gen.normal(0.0, 1.0, n)
         signs = gen.integers(0, 2, n) * 2 - 1
         pool = pool + p["shift"] * signs
-    else:
-        raise ConfigError(
-            f"stability: source must be sas, gaussian, or mixture, got {p['source']!r}"
-        )
     report = stability_condition(pool, RngStream(p["seed"], 1), p["threshold"])
     return RunResult(STABILITY_REPORT_HEADER, [report.csv_row()])
 
@@ -475,11 +472,8 @@ def _run_transition(config: ExperimentConfig):
 
 
 def _run_converge(config: ExperimentConfig):
-    _require_finite(config)
     p = config.parameters
     kind = p["noise"]
-    if kind not in ("sas", "gaussian"):
-        raise ConfigError(f"converge: noise must be 'sas' or 'gaussian', got {kind!r}")
     if len(set(p["ks"])) < 2:
         raise ConfigError(f"converge: key 'ks' needs two or more distinct K values to fit a slope, "
                           f"got {format_cell(p['ks'])}")
@@ -523,28 +517,23 @@ def _load_data(config: ExperimentConfig, rng: RngStream) -> DatasetSplit:
     if p["source"] == "blobs":
         _reject_unread(config, "source = blobs", *files, "subsample")
         return synthetic_blobs(p["n"], p["dim"], p["classes"], p["spread"], rng)
-    if p["source"] == "mnist":
-        _reject_unread(config, "source = mnist", "n", "dim", "classes", "spread")
-        for key in files:
-            if not p[key]:
-                raise ConfigError(f"source = mnist requires key '{key}'")
-        train_x, train_y = load_mnist_idx(p["images"], p["labels"])
-        test_x, test_y = load_mnist_idx(p["test_images"], p["test_labels"])
-        sub = p["subsample"]
-        if sub > 0:
-            train_x, train_y = train_x[:sub], train_y[:sub]
-        return DatasetSplit(
-            train_x=train_x, train_y=train_y, test_x=test_x, test_y=test_y,
-            n_classes=10,
-        )
-    raise ConfigError(f"source must be 'blobs' or 'mnist', got {p['source']!r}")
+    _reject_unread(config, "source = mnist", "n", "dim", "classes", "spread")
+    for key in files:
+        if not p[key]:
+            raise ConfigError(f"source = mnist requires key '{key}'")
+    train_x, train_y = load_mnist_idx(p["images"], p["labels"])
+    test_x, test_y = load_mnist_idx(p["test_images"], p["test_labels"])
+    sub = p["subsample"]
+    if sub > 0:
+        train_x, train_y = train_x[:sub], train_y[:sub]
+    return DatasetSplit(
+        train_x=train_x, train_y=train_y, test_x=test_x, test_y=test_y,
+        n_classes=10,
+    )
 
 
 def _run_train(config: ExperimentConfig):
-    _require_finite(config)
     p = config.parameters
-    if p["loss"] not in LOSS_KINDS:
-        raise ConfigError(f"train: loss must be one of {LOSS_KINDS}, got {p['loss']!r}")
     if p["depth"] < 1:
         raise ConfigError(f"train: depth must be >= 1, got {p['depth']}")
     injection = None
@@ -565,10 +554,7 @@ def _run_train(config: ExperimentConfig):
 
 
 def _run_sweep(config: ExperimentConfig):
-    _require_finite(config)
     p = config.parameters
-    if p["loss"] not in LOSS_KINDS:
-        raise ConfigError(f"sweep: loss must be one of {LOSS_KINDS}, got {p['loss']!r}")
     rng = RngStream(p["seed"])
     data = _load_data(config, rng.substream(1))
     cells, groups = noise_scale_sweep(

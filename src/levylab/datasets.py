@@ -120,7 +120,7 @@ def synthetic_blobs(
         raise ParameterError(f"n={n} must be a positive multiple of n_classes={n_classes}")
     if dim < 1:
         raise ParameterError(f"dim must be positive, got {dim}")
-    if spread < 0.0:
+    if not (spread >= 0.0):
         raise ParameterError(f"spread must be nonnegative, got {spread}")
     gen = rng.generator()
     centers = gen.normal(0.0, 1.0, (n_classes, dim))

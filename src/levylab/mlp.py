@@ -140,7 +140,11 @@ def _loss_grad_logits(logits: np.ndarray, y: np.ndarray, loss_kind: str):
     raise ParameterError(f"loss_kind must be one of {LOSS_KINDS}, got {loss_kind!r}")
 
 
-def _backprop(model, x, y, loss_kind):
+def forward_backward(
+    model: MlpModel, x: np.ndarray, y: np.ndarray, loss_kind: str
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Batch-mean loss, the exact flat gradient over all parameters, and the
+    logits of the same forward pass."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -166,26 +170,11 @@ def _backprop(model, x, y, loss_kind):
     return loss, np.concatenate(parts), logits
 
 
-def _hit_rate(logits, y) -> float:
+def hit_rate(logits: np.ndarray, y: np.ndarray) -> float:
+    """Fraction of rows whose argmax logit is the label."""
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
-
-
-def forward_backward(
-    model: MlpModel, x: np.ndarray, y: np.ndarray, loss_kind: str
-) -> tuple[float, np.ndarray]:
-    """Batch-mean loss and the exact flat gradient over all parameters."""
-    loss, grad, _ = _backprop(model, x, y, loss_kind)
-    return loss, grad
-
-
-def forward_backward_accuracy(
-    model: MlpModel, x: np.ndarray, y: np.ndarray, loss_kind: str
-) -> tuple[float, np.ndarray, float]:
-    """``forward_backward`` plus the accuracy of the same forward pass."""
-    loss, grad, logits = _backprop(model, x, y, loss_kind)
-    return loss, grad, _hit_rate(logits, y)
 
 
 def accuracy(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     """Fraction of argmax predictions matching the labels."""
-    return _hit_rate(model.forward(x), y)
+    return hit_rate(model.forward(x), y)

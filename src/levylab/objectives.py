@@ -141,7 +141,7 @@ def double_well(m1: float, m2: float, scale: float = 1.0) -> ObjectiveSpec:
     """
     if not (m1 < 0.0 < m2):
         raise ParameterError(f"need m1 < 0 < m2, got m1={m1}, m2={m2}")
-    if scale <= 0.0:
+    if not (scale > 0.0):
         raise ParameterError(f"scale must be positive, got {scale}")
 
     def f(w):

@@ -388,7 +388,7 @@ def first_exit_ensemble(
 def _validate_neighborhoods(spec: ObjectiveSpec, delta: float) -> np.ndarray:
     if spec.minima is None:
         raise ParameterError("transitions need an objective with declared geometry")
-    if delta <= 0.0:
+    if not (delta > 0.0):
         raise ParameterError(f"delta must be positive, got {delta}")
     minima = np.asarray(spec.minima)
     bounds = np.concatenate(([-np.inf], np.asarray(spec.saddles), [np.inf]))

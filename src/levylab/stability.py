@@ -70,7 +70,7 @@ def stability_condition(
         raise ParameterError(
             f"need at least {12 * K1_MIN} samples for the split estimates, got {x.size}"
         )
-    if threshold < 0:
+    if not (threshold >= 0.0):
         raise ParameterError(f"threshold must be nonnegative, got {threshold}")
     gen = rng.generator()
 

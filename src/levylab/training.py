@@ -27,7 +27,7 @@ from .convergence import GradientNoise
 from .csvfmt import format_row
 from .datasets import DatasetSplit
 from .errors import DegenerateInputError, ParameterError
-from .mlp import MlpModel, accuracy, forward_backward, forward_backward_accuracy, init_mlp
+from .mlp import MlpModel, accuracy, forward_backward, hit_rate, init_mlp
 from .parallel import run_tasks, task_pool
 from .rng import RngStream
 from .stability import stability_condition
@@ -74,15 +74,14 @@ def noise_pool_grads(
     def minibatch_rows():
         for i in range(grads.shape[0]):
             sl = slice(i * b, (i + 1) * b)
-            _, grads[i] = forward_backward(
+            _, grads[i], _ = forward_backward(
                 model, data.train_x[sl], data.train_y[sl], loss_kind
             )
 
     with task_pool(2) as pool:
         rows = run_tasks(pool, minibatch_rows, [()])
-        loss, g_full, train_acc = forward_backward_accuracy(
-            model, data.train_x, data.train_y, loss_kind
-        )
+        loss, g_full, logits = forward_backward(model, data.train_x, data.train_y, loss_kind)
+        train_acc = hit_rate(logits, data.train_y)
         list(rows)
     return loss, g_full, grads, train_acc
 
@@ -146,9 +145,10 @@ def train_with_tail_logging(
         if injection is None:
             loss, g_full, deviations, train_acc = noise_pool_grads(model, data, b, loss_kind)
         else:
-            loss, g_full, train_acc = forward_backward_accuracy(
+            loss, g_full, logits = forward_backward(
                 model, data.train_x, data.train_y, loss_kind
             )
+            train_acc = hit_rate(logits, data.train_y)
             gen = log_stream.substream(k, 0).generator()
             deviations = injection.sample((data.n_train // b, g_full.size), gen)
             deviations += g_full  # injected gradients, rounded like minibatch ones
@@ -178,7 +178,7 @@ def train_with_tail_logging(
 
 def _sgd_step(model, data, b, eta, loss_kind, batch_gen) -> None:
     idx = batch_gen.choice(data.n_train, size=b, replace=False)
-    _, g = forward_backward(model, data.train_x[idx], data.train_y[idx], loss_kind)
+    _, g, _ = forward_backward(model, data.train_x[idx], data.train_y[idx], loss_kind)
     model.set_params(model.get_params() - eta * g)
 
 

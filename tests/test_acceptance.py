@@ -175,7 +175,7 @@ def test_backprop_and_noise_pool():
         y = gen.integers(0, 4, 8)
         flat = model.get_params()
         for loss_kind in ("nll", "linear_hinge"):
-            _, g = forward_backward(model, x, y, loss_kind)
+            _, g, _ = forward_backward(model, x, y, loss_kind)
             fd = np.empty_like(flat)
             for i in range(flat.size):
                 for sign in (1.0, -1.0):

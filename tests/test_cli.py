@@ -7,6 +7,7 @@ import pytest
 import levylab
 from levylab.cli import (
     COMMANDS,
+    SCHEMAS,
     ExperimentConfig,
     config_hash,
     main,
@@ -367,6 +368,9 @@ def test_unread_key_is_rejected(tmp_path, monkeypatch, capsys, argv, key):
 
 
 _BAD_INPUT_BASES = {
+    "sample": {"alpha": "1.5", "n": "50"},
+    "estimate": {"alpha": "1.5", "n": "2000"},
+    "stability": {"alpha": "1.5", "n": "600"},
     "exit-time": {"alpha": "1.6", "eps": "0.5", "a": "0.5", "eta": "0.01", "reps": "5"},
     "transition": {"alpha": "1.2", "eps": "0.4", "eta": "0.01", "reps": "6"},
     "metastability": {"minima": "-1,2", "alpha": "1.3", "saddles": "0"},
@@ -378,42 +382,42 @@ _BAD_INPUT_BASES = {
 }
 
 
+def _schema_domain_cases():
+    """Every float key with nan and inf, and every enumerated key with an unlisted
+    value, of every command: parsing refuses each and names the key."""
+    for command, schema in SCHEMAS.items():
+        for key, (kind, _) in schema.items():
+            if kind in ("float", "list_float"):
+                yield from ((command, key, v, "ParameterError", f"key '{key}' must be finite")
+                            for v in ("nan", "inf"))
+            elif isinstance(kind, tuple):
+                yield (command, key, "bogus", "ConfigError",
+                       f"key '{key}' must be one of {', '.join(kind)}, got 'bogus'")
+
+
 _BAD_INPUTS = [
-    *[(cmd, "eta", v, "eta must") for cmd in ("exit-time", "transition") for v in ("0", "nan")],
-    *[(cmd, "eps", "nan", "epsilon must") for cmd in ("exit-time", "transition")],
-    ("transition", "eps", "0", "epsilon must"),
-    ("transition", "eps", "-0.5", "epsilon must"),
-    *[(cmd, "time_cap_factor", v, "time_cap_factor must")
-      for cmd in ("exit-time", "transition") for v in ("nan", "inf")],
-    ("transition", "time_cap_factor", "0.5", "time_cap_factor must"),
-    ("exit-time", "a", "nan", "need a > 0"),
-    ("exit-time", "a", "inf", "step cap inf is not finite"),
-    *[("transition", "reps", v, "n_replicates must") for v in ("-1", "0")],
-    ("metastability", "saddles", "nan", "must be finite"),
-    ("exit-time", "sigma_brownian", "nan", "sigma_brownian must"),
-    ("exit-time", "xi", "nan", "xi must"),
-    *[("converge", key, value, f"key '{key}' must be finite")
-      for key, value in (("eta", "nan"), ("c", "nan"), ("gamma", "nan"), ("scale", "nan"),
-                         ("scale", "inf"), ("m_const", "nan"), ("sigma_gamma", "nan"),
-                         ("w0_scale", "nan"))],
-    *[("train", key, value, f"key '{key}' must be finite")
-      for key, value in (("eta", "nan"), ("eta", "inf"), ("spread", "nan"),
-                         ("inject_alpha", "nan"))],
-    *[("sweep", key, value, f"key '{key}' must be finite")
-      for key, value in (("etas", "0.001,nan"), ("etas", "inf"), ("spread", "nan"))],
-    *[("sweep", "etas", v, f"eta must be positive and finite, got {v}") for v in ("-0.5", "0")],
+    *_schema_domain_cases(),
+    ("sweep", "etas", "0.001,nan", "ParameterError", "key 'etas' must be finite"),
+    # finite values outside a library domain, which only the run itself refuses
+    *[(cmd, "eta", "0", "ParameterError", "eta must") for cmd in ("exit-time", "transition")],
+    ("transition", "eps", "0", "ParameterError", "epsilon must"),
+    ("transition", "eps", "-0.5", "ParameterError", "epsilon must"),
+    ("transition", "time_cap_factor", "0.5", "ParameterError", "time_cap_factor must"),
+    *[("transition", "reps", v, "ParameterError", "n_replicates must") for v in ("-1", "0")],
+    *[("sweep", "etas", v, "ParameterError", f"eta must be positive and finite, got {v}")
+      for v in ("-0.5", "0")],
 ]
 
 
-@pytest.mark.parametrize("command, key, value, fragment", _BAD_INPUTS,
+@pytest.mark.parametrize("command, key, value, error, fragment", _BAD_INPUTS,
                          ids=["-".join(case[:3]) for case in _BAD_INPUTS])
 def test_bad_run_input_exits_2_before_any_output(tmp_path, monkeypatch, capsys,
-                                                 command, key, value, fragment):
+                                                 command, key, value, error, fragment):
     monkeypatch.setenv("LEVYLAB_OUT", str(tmp_path))
     flags = {**_BAD_INPUT_BASES[command], key: value}
     assert main([command, *(t for k, v in flags.items() for t in (f"--{k}", v))]) == 2
     record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "ParameterError" and record["status"] == 2
+    assert record["error"] == error and record["status"] == 2
     assert fragment in record["message"]
     assert not list(tmp_path.iterdir())
 

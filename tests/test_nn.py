@@ -75,16 +75,16 @@ def test_nll_at_uniform_logits():
     model = MlpModel(layer_sizes=(6, 10))
     model.weights.append(np.zeros((10, 6)))
     model.biases.append(np.zeros(10))
-    loss, _ = forward_backward(model, np.ones((7, 6)), np.zeros(7, dtype=int), "nll")
+    loss, _, _ = forward_backward(model, np.ones((7, 6)), np.zeros(7, dtype=int), "nll")
     assert loss == pytest.approx(np.log(10.0), abs=1e-12)
 
 
 def test_hinge_hand_computed_case():
     model = _identity_model(3)
-    loss, g = forward_backward(
-        model, np.array([[2.0, 0.5, 1.5]]), np.array([0]), "linear_hinge"
-    )
+    x = np.array([[2.0, 0.5, 1.5]])
+    loss, g, logits = forward_backward(model, x, np.array([0]), "linear_hinge")
     assert loss == pytest.approx(0.5, abs=1e-12)
+    assert np.array_equal(logits, x)  # the identity model's logits are its inputs
     # bias gradient is the logit gradient: -1 for the label, 1 per active margin
     assert np.allclose(g[-3:], [-1.0, 0.0, 1.0], atol=1e-12)
 
@@ -92,7 +92,7 @@ def test_hinge_hand_computed_case():
 def test_hinge_large_margin_has_zero_loss_and_gradient():
     model = _identity_model(2)
     x = np.array([[5.0, -5.0], [-5.0, 5.0]])
-    loss, g = forward_backward(model, x, np.array([0, 1]), "linear_hinge")
+    loss, g, _ = forward_backward(model, x, np.array([0, 1]), "linear_hinge")
     assert loss == 0.0
     assert np.all(g == 0.0)
 
@@ -114,7 +114,7 @@ def test_backprop_matches_finite_differences(loss_kind):
     gen = RngStream(136).generator()
     x = gen.normal(0.0, 1.0, (5, 4))
     y = gen.integers(0, 3, 5)
-    _, g = forward_backward(model, x, y, loss_kind)
+    _, g, _ = forward_backward(model, x, y, loss_kind)
     flat = model.get_params()
     h = 1e-5
     fd = np.empty_like(flat)
@@ -147,13 +147,14 @@ def test_full_batch_pool_is_degenerate():
         noise_pool_grads(model, data, 0, "nll")
 
 
-def _record_minibatch_threads(monkeypatch):
-    # the full-batch pass goes through forward_backward_accuracy, so only
-    # the minibatch rows and the SGD steps reach training.forward_backward
+def _record_minibatch_threads(monkeypatch, b):
+    # the full-batch pass also goes through training.forward_backward, so only
+    # calls on batches of b rows (minibatch rows and SGD steps) are recorded
     forward_backward_, threads = training.forward_backward, set()
 
     def recorded(*args):
-        threads.add(threading.current_thread())
+        if len(args[1]) == b:
+            threads.add(threading.current_thread())
         return forward_backward_(*args)
 
     monkeypatch.setattr(training, "forward_backward", recorded)
@@ -164,7 +165,7 @@ def _record_minibatch_threads(monkeypatch):
 def test_split_pool_build_equals_serial(monkeypatch, b):
     data = synthetic_blobs(200, 5, 2, 1.0, RngStream(162))
     model = init_mlp((5, 12, 2), RngStream(163))
-    threads = _record_minibatch_threads(monkeypatch)
+    threads = _record_minibatch_threads(monkeypatch, b)
     builds = []
     for cpus in (1, 2):
         monkeypatch.setattr(parallel, "usable_cpus", lambda c=cpus: c)
@@ -180,7 +181,7 @@ def test_split_pool_build_equals_serial(monkeypatch, b):
 
 def test_split_pool_build_keeps_the_sweep_error_state(monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-    threads = _record_minibatch_threads(monkeypatch)
+    threads = _record_minibatch_threads(monkeypatch, 20)
     data = synthetic_blobs(40, 5, 2, 1.0, RngStream(152))
     # one huge step leaves finite parameters whose minibatch products overflow
     with warnings.catch_warnings(record=True) as caught:

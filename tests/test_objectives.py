@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from levylab.errors import ParameterError
-from levylab.objectives import ObjectiveSpec, double_well, quadratic
+from levylab.objectives import ObjectiveSpec, double_well, quadratic, valley_partition
 
 
 def finite_difference_gradient(f, x, h=1e-6):
@@ -93,6 +93,17 @@ def test_double_well_ordering_enforced():
         double_well(1.0, 2.0)
     with pytest.raises(ParameterError):
         double_well(-1.0, -0.5)
+
+
+@pytest.mark.parametrize("scale", [0.0, float("nan")])
+def test_double_well_scale_must_be_positive(scale):
+    with pytest.raises(ParameterError, match="scale must be positive"):
+        double_well(-1.0, 2.0, scale)
+
+
+def test_valley_partition_refuses_non_finite_points():
+    with pytest.raises(ParameterError, match="must be finite"):
+        valley_partition((-1.0, 2.0), (float("nan"),))
 
 
 def test_declared_minima_have_zero_gradient():

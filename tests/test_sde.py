@@ -562,6 +562,14 @@ def test_oversized_delta_rejected():
         )
 
 
+@pytest.mark.parametrize("delta", [0.0, float("nan")])
+def test_delta_must_be_positive(delta):
+    with pytest.raises(ParameterError, match="delta must be positive"):
+        first_transition_ensemble(
+            _cfg(w0=(-1.0,)), double_well(-1.0, 2.0), delta, RngStream(0), 1
+        )
+
+
 def test_two_basin_transitions_all_land_in_other_basin():
     config = SdeConfig(eta=1e-3, epsilon=0.1, alpha=1.2, w0=(-1.0,), max_steps=250_000)
     spec = double_well(-1.0, 2.0)

@@ -84,6 +84,12 @@ def test_insufficient_samples_rejected():
         stability_condition(np.ones(20), RngStream(0))
 
 
+@pytest.mark.parametrize("threshold", [-0.01, float("nan")])
+def test_threshold_must_be_nonnegative(threshold):
+    with pytest.raises(ParameterError, match="threshold must be nonnegative"):
+        stability_condition(np.arange(1.0, 101.0), RngStream(0), threshold)
+
+
 def test_mixture_separates_from_stable():
     # location mixtures are not alpha-stable; their condition number ends up
     # far above the stable pool's under the same protocol

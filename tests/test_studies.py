@@ -82,6 +82,42 @@ def test_exit_scaling_slope_is_near_alpha():
     assert 1.0 < fit_loglog_slope(1.0 / np.asarray(epsilons), means) < 2.0
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+def _capped_study(kind, **overrides):
+    if kind == "exit":
+        kw = dict(spec=quadratic(1), center=0.0, alpha=1.5, epsilon=0.5, a=1.0, eta=0.01)
+        run = exit_time_study
+    else:
+        kw = dict(spec=double_well(-1.0, 2.0), alpha=1.2, epsilon=0.4, delta=0.2, eta=0.01)
+        run = transition_study
+    return run(**{**kw, **overrides}, rng=RngStream(0), n_replicates=2)
+
+
+@pytest.mark.parametrize("kind", ["exit", "transition"])
+@pytest.mark.parametrize(
+    "overrides, fragment",
+    [
+        (dict(eta=_NAN), "eta must be positive and finite"),
+        (dict(epsilon=_NAN), "epsilon must be positive and finite"),
+        (dict(time_cap_factor=_NAN), "time_cap_factor must be finite and exceed 1"),
+        (dict(time_cap_factor=_INF), "time_cap_factor must be finite and exceed 1"),
+    ],
+    ids=["eta-nan", "epsilon-nan", "time_cap_factor-nan", "time_cap_factor-inf"],
+)
+def test_capped_studies_refuse_non_finite_inputs(kind, overrides, fragment):
+    with pytest.raises(ParameterError, match=fragment):
+        _capped_study(kind, **overrides)
+
+
+@pytest.mark.parametrize("a, fragment", [(_NAN, "need a > 0"),
+                                         (_INF, "step cap inf is not finite")])
+def test_exit_study_refuses_non_finite_radius(a, fragment):
+    with pytest.raises(ParameterError, match=fragment):
+        _capped_study("exit", a=a)
+
+
 def test_transition_study_two_wells():
     spec = double_well(-1.0, 2.0)
     study = transition_study(
