@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convergence import (
-    CONVERGENCE_ROW_HEADER,
     ConvergenceConfig,
+    ConvergenceRow,
     GradientNoise,
     default_gamma,
     estimate_sigma_gamma,
@@ -43,20 +43,14 @@ from .metastability import solved_model
 from .mlp import LOSS_KINDS, init_mlp
 from .objectives import double_well, quadratic
 from .rng import RngStream
-from .sde import EXIT_RECORD_HEADER, TRANSITION_RECORD_HEADER
-from .stability import STABILITY_REPORT_HEADER, stability_condition
+from .sde import ExitTimeRecord, TransitionRecord
+from .stability import StabilityReport, stability_condition
 from .stable import StableParams, sample_sas
-from .studies import (
-    EXIT_STUDY_HEADER,
-    TRANSITION_STUDY_HEADER,
-    exit_time_study,
-    start_minimum,
-    transition_study,
-)
-from .tail_index import TAIL_ESTIMATE_HEADER, choose_block_size, estimate_alpha
+from .studies import exit_time_study, start_minimum, transition_study
+from .tail_index import TailEstimate, choose_block_size, estimate_alpha
 from .training import (
-    SWEEP_CELL_HEADER,
-    SWEEP_GROUP_HEADER,
+    SweepCell,
+    SweepGroup,
     noise_scale_sweep,
     train_log_header,
     train_with_tail_logging,
@@ -412,7 +406,7 @@ def _run_estimate(config: ExperimentConfig):
     draws = sample_sas(params, p["n"], RngStream(p["seed"]))
     k1 = p["k1"] if p["k1"] > 0 else choose_block_size(p["n"])
     est = estimate_alpha(draws, k1)
-    return RunResult(TAIL_ESTIMATE_HEADER, [est.csv_row()])
+    return RunResult(TailEstimate.CSV_HEADER, [est.csv_row()])
 
 
 def _run_stability(config: ExperimentConfig):
@@ -433,18 +427,19 @@ def _run_stability(config: ExperimentConfig):
         signs = gen.integers(0, 2, n) * 2 - 1
         pool = pool + p["shift"] * signs
     report = stability_condition(pool, RngStream(p["seed"], 1), p["threshold"])
-    return RunResult(STABILITY_REPORT_HEADER, [report.csv_row()])
+    return RunResult(StabilityReport.CSV_HEADER, [report.csv_row()])
 
 
-def _study_result(config: ExperimentConfig, study, header: str, record_header: str):
+def _study_result(config: ExperimentConfig, study, record_type):
     """The study's row, partial past ``max_diverged_fraction``, plus its records
-    file when ``records_output`` is set."""
+    file (of ``record_type`` rows) when ``records_output`` is set."""
     p = config.parameters
     partial = study.n_diverged / p["reps"] > p["max_diverged_fraction"]
     extra = None
     if p["records_output"]:
-        extra = (p["records_output"], record_header, [r.csv_row() for r in study.records])
-    return RunResult(header, [study.csv_row()], partial, extra)
+        extra = (p["records_output"], record_type.CSV_HEADER,
+                 [r.csv_row() for r in study.records])
+    return RunResult(study.CSV_HEADER, [study.csv_row()], partial, extra)
 
 
 def _run_exit_time(config: ExperimentConfig):
@@ -457,7 +452,7 @@ def _run_exit_time(config: ExperimentConfig):
         time_cap_factor=p["time_cap_factor"],
         noise_scaling=p["noise_scaling"],
     )
-    return _study_result(config, study, EXIT_STUDY_HEADER, EXIT_RECORD_HEADER)
+    return _study_result(config, study, ExitTimeRecord)
 
 
 def _run_transition(config: ExperimentConfig):
@@ -468,7 +463,7 @@ def _run_transition(config: ExperimentConfig):
         n_replicates=p["reps"], start_basin=p["start_basin"],
         noise_scaling=p["noise_scaling"], time_cap_factor=p["time_cap_factor"],
     )
-    return _study_result(config, study, TRANSITION_STUDY_HEADER, TRANSITION_RECORD_HEADER)
+    return _study_result(config, study, TransitionRecord)
 
 
 def _run_converge(config: ExperimentConfig):
@@ -507,7 +502,7 @@ def _run_converge(config: ExperimentConfig):
     partial = any(r.diverged_fraction > p["max_diverged_fraction"] for r in rows)
     trailer = [f"# fitted_slope = {format_cell(fitted_rate_slope(rows))}",
                f"# sigma_gamma = {format_cell(sigma_gamma)}"]
-    return RunResult(CONVERGENCE_ROW_HEADER, [r.csv_row() for r in rows], partial,
+    return RunResult(ConvergenceRow.CSV_HEADER, [r.csv_row() for r in rows], partial,
                      trailer=trailer)
 
 
@@ -563,8 +558,8 @@ def _run_sweep(config: ExperimentConfig):
     )
     n_div = sum(c.diverged for c in cells)
     partial = n_div / len(cells) > p["max_diverged_fraction"]
-    extra = (p["groups_output"], SWEEP_GROUP_HEADER, [g.csv_row() for g in groups])
-    return RunResult(SWEEP_CELL_HEADER, [c.csv_row() for c in cells], partial, extra)
+    extra = (p["groups_output"], SweepGroup.CSV_HEADER, [g.csv_row() for g in groups])
+    return RunResult(SweepCell.CSV_HEADER, [c.csv_row() for c in cells], partial, extra)
 
 
 def _run_metastability(config: ExperimentConfig):

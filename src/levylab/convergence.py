@@ -25,15 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvfmt import format_row
+from .csvfmt import CsvRecord
 from .errors import ParameterError
 from .objectives import ObjectiveSpec
 from .rng import RngStream
 from .stable import sample_normal, sample_standard_sas
-
-CONVERGENCE_ROW_HEADER = (
-    "K,eta,gamma,alpha,min_grad_sq_mean,min_grad_sq_stderr,bound,diverged_fraction"
-)
 
 DEFAULT_GAMMA_SAFETY = 0.8
 
@@ -153,8 +149,10 @@ class ConvergenceConfig:
 
 
 @dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(CsvRecord):
     """Sweep result at one K."""
+
+    CSV_HEADER = "K,eta,gamma,alpha,min_grad_sq_mean,min_grad_sq_stderr,bound,diverged_fraction"
 
     K: int
     eta: float
@@ -164,10 +162,6 @@ class ConvergenceRow:
     min_grad_sq_stderr: float
     bound: float
     diverged_fraction: float
-
-    def csv_row(self) -> str:
-        return format_row(self.K, self.eta, self.gamma, self.alpha, self.min_grad_sq_mean,
-                          self.min_grad_sq_stderr, self.bound, self.diverged_fraction)
 
 
 def estimate_sigma_gamma(

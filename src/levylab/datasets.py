@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -120,8 +121,8 @@ def synthetic_blobs(
         raise ParameterError(f"n={n} must be a positive multiple of n_classes={n_classes}")
     if dim < 1:
         raise ParameterError(f"dim must be positive, got {dim}")
-    if not (spread >= 0.0):
-        raise ParameterError(f"spread must be nonnegative, got {spread}")
+    if not (0.0 <= spread < math.inf):
+        raise ParameterError(f"spread must be nonnegative and finite, got {spread}")
     gen = rng.generator()
     centers = gen.normal(0.0, 1.0, (n_classes, dim))
     per_train = n // n_classes

@@ -10,6 +10,7 @@ checked against ``grad`` on probes.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -141,8 +142,8 @@ def double_well(m1: float, m2: float, scale: float = 1.0) -> ObjectiveSpec:
     """
     if not (m1 < 0.0 < m2):
         raise ParameterError(f"need m1 < 0 < m2, got m1={m1}, m2={m2}")
-    if not (scale > 0.0):
-        raise ParameterError(f"scale must be positive, got {scale}")
+    if not (0.0 < scale < math.inf):
+        raise ParameterError(f"scale must be positive and finite, got {scale}")
 
     def f(w):
         w = np.asarray(w, dtype=float)

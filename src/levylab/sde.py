@@ -17,12 +17,13 @@ counts, stored path) sees each chunk once, block by block.  A lane's path
 depends on its stream alone, so it is reproducible per replicate, the same
 at any ensemble size and thread count, and invariant under changes of the
 stopping rule (enlarging an exit radius can only delay the recorded exit on
-the same path).  Ensembles scan a chunk exactly when the objective declares
+the same path).  A chunk is scanned exactly when the objective declares
 linear drift with 0 < 1 - eta*rate < 1, in tiles of TILE lanes that fill
 and scan as tasks on the shared pool of ``parallel``, one thread per usable
-CPU.  Otherwise (and always in ``simulate``) the per-step update keeps a
-chunk time-major: one pool task per usable CPU fills the noise of a
-contiguous share of the lanes, then the calling thread steps the rows.
+CPU.  Otherwise the per-step update keeps a chunk time-major: one pool
+task per usable CPU fills the noise of a contiguous share of the lanes,
+then the calling thread steps the rows.  ``simulate`` is a one-lane
+ensemble and scans the same way.
 Extreme draws are never truncated; an iterate that leaves float range halts
 its path with a divergence marker, which exit measurements count separately
 and never silently merge into exit statistics.
@@ -37,7 +38,7 @@ from functools import partial
 import numpy as np
 
 from . import parallel
-from .csvfmt import format_row
+from .csvfmt import CsvRecord
 from .errors import ParameterError
 from .objectives import ObjectiveSpec
 from .rng import RngStream
@@ -45,9 +46,6 @@ from .stable import sample_standard_sas
 
 CHUNK_CAP = 8192
 TILE = 32
-
-EXIT_RECORD_HEADER = "replicate,exited,exit_step,exit_time,radius_a,margin_xi,diverged"
-TRANSITION_RECORD_HEADER = "replicate,start_basin,end_basin,transition_step,transition_time"
 
 
 @dataclass(frozen=True)
@@ -62,12 +60,14 @@ class SdeConfig:
     max_steps: int = 10_000
 
     def __post_init__(self):
-        if not (self.eta > 0.0):
-            raise ParameterError(f"eta must be positive, got {self.eta}")
-        if not (self.epsilon >= 0.0):
-            raise ParameterError(f"epsilon must be nonnegative, got {self.epsilon}")
-        if not (self.sigma_brownian >= 0.0):
-            raise ParameterError(f"sigma_brownian must be nonnegative, got {self.sigma_brownian}")
+        if not (0.0 < self.eta < math.inf):
+            raise ParameterError(f"eta must be positive and finite, got {self.eta}")
+        if not (0.0 <= self.epsilon < math.inf):
+            raise ParameterError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
+        if not (0.0 <= self.sigma_brownian < math.inf):
+            raise ParameterError(
+                f"sigma_brownian must be nonnegative and finite, got {self.sigma_brownian}"
+            )
         if not (0.0 < self.alpha <= 2.0):
             raise ParameterError(f"alpha must lie in (0, 2], got {self.alpha}")
         if self.max_steps < 1:
@@ -93,8 +93,10 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class ExitTimeRecord:
+class ExitTimeRecord(CsvRecord):
     """First-exit outcome of one replicate."""
+
+    CSV_HEADER = "replicate,exited,exit_step,exit_time,radius_a,margin_xi,diverged"
 
     replicate: int
     exited: bool
@@ -104,24 +106,18 @@ class ExitTimeRecord:
     margin_xi: float
     diverged: bool = False
 
-    def csv_row(self) -> str:
-        return format_row(self.replicate, self.exited, self.exit_step, self.exit_time,
-                          self.radius_a, self.margin_xi, self.diverged)
-
 
 @dataclass(frozen=True)
-class TransitionRecord:
+class TransitionRecord(CsvRecord):
     """One recorded hop between minimum neighborhoods."""
+
+    CSV_HEADER = "replicate,start_basin,end_basin,transition_step,transition_time"
 
     replicate: int
     start_basin: int
     end_basin: int
     transition_step: int
     transition_time: float
-
-    def csv_row(self) -> str:
-        return format_row(self.replicate, self.start_basin, self.end_basin,
-                          self.transition_step, self.transition_time)
 
 
 def _chunk_len(eta: float, max_steps: int) -> int:
@@ -198,14 +194,13 @@ def _fill_columns(config, gens, lanes, P, cols):
         P[:, k] = noise_increments(config, P.shape[0], gens[lanes[k]])
 
 
-def _run_lanes(config, spec, streams, observe, literal=False):
+def _run_lanes(config, spec, streams, observe):
     """Advance one lane per stream, chunk by chunk, until all retire or time out.
 
     ``observe(lanes, done, W, finite)`` gets the running lane ids of one
     block, the steps before the chunk, the block's (A, L, d) positions and
     their (A, L) finite mask; it returns the mask (or False) of lanes it is
     done with.  Lanes that reach a non-finite iterate retire too.
-    ``literal`` forces the per-step update.
 
     Under the linear scan a chunk's lanes split into tiles of TILE lanes,
     each filled and scanned by one task.  The per-step scan keeps the chunk
@@ -221,7 +216,7 @@ def _run_lanes(config, spec, streams, observe, literal=False):
     if spec.dim != config.dim:
         raise ParameterError(f"objective dim {spec.dim} != config dim {config.dim}")
     eta = config.eta
-    drift = None if literal else spec.linear_drift
+    drift = spec.linear_drift
     if drift is not None and not (0.0 < 1.0 - eta * drift[0] < 1.0):
         drift = None
     gens = [s.generator() for s in streams]
@@ -257,7 +252,7 @@ def _run_lanes(config, spec, streams, observe, literal=False):
 
 
 def simulate(config: SdeConfig, spec: ObjectiveSpec, rng: RngStream) -> Trajectory:
-    """Single Euler path of length up to max_steps, by the per-step update.
+    """Single Euler path of length up to max_steps, scanned as the ensembles scan.
 
     Runs are bit-identical for a fixed stream.  A non-finite iterate at step
     k truncates the stored path to w^0 .. w^(k-1) and marks divergence at k.
@@ -272,7 +267,7 @@ def simulate(config: SdeConfig, spec: ObjectiveSpec, rng: RngStream) -> Trajecto
             diverged_at.append(done + 1 + int(np.argmin(finite[0])))
         return False
 
-    _run_lanes(config, spec, [rng], observe, literal=True)
+    _run_lanes(config, spec, [rng], observe)
     if diverged_at:
         k = diverged_at[0]
         return Trajectory(points=points[:k].copy(), eta=config.eta, diverged=True,

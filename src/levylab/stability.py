@@ -28,12 +28,16 @@ DEFAULT_THRESHOLD = 0.05
 # every subset produced by the 3-way and 4-way splits supports estimation.
 K1_MIN = 2
 
-STABILITY_REPORT_HEADER = "alpha_x,alpha_12,alpha_xp,alpha_123,c_st,threshold,pass"
-
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Estimates entering the stability statistic, plus the verdict inputs."""
+    """Estimates entering the stability statistic, plus the verdict inputs.
+
+    Its last column, ``pass``, is the ``passed`` verdict, so it writes its
+    own row.
+    """
+
+    CSV_HEADER = "alpha_x,alpha_12,alpha_xp,alpha_123,c_st,threshold,pass"
 
     alpha_x: float
     alpha_12: float

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .csvfmt import format_row
+from .csvfmt import CsvRecord, format_row
 from .errors import ParameterError
 from .metastability import exit_rate, expected_exit_time, generator_matrix, solved_model
 from .objectives import ObjectiveSpec
@@ -37,15 +37,6 @@ from .sde import (
     occupancy_ensemble,
 )
 from .stable import unit_jump_scale
-
-EXIT_STUDY_HEADER = (
-    "alpha,epsilon,radius_a,eta,n_replicates,noise_scaling,"
-    "n_exited,n_diverged,n_censored,mean_exit_time,predicted_mean,ks_distance"
-)
-TRANSITION_STUDY_HEADER = (
-    "alpha,epsilon,delta,eta,n_replicates,noise_scaling,"
-    "n_transitioned,n_diverged,mean_transition_time,predicted_mean"
-)
 
 
 def ks_distance_exponential(values: np.ndarray, rate: float) -> float:
@@ -108,8 +99,13 @@ def _time_cap(
 
 
 @dataclass(frozen=True)
-class ExitTimeStudy:
+class ExitTimeStudy(CsvRecord):
     """Exit-time ensemble summary against the closed-form law."""
+
+    CSV_HEADER = (
+        "alpha,epsilon,radius_a,eta,n_replicates,noise_scaling,"
+        "n_exited,n_diverged,n_censored,mean_exit_time,predicted_mean,ks_distance"
+    )
 
     alpha: float
     epsilon: float
@@ -124,11 +120,6 @@ class ExitTimeStudy:
     predicted_mean: float
     ks_distance: float
     records: tuple[ExitTimeRecord, ...]
-
-    def csv_row(self) -> str:
-        return format_row(self.alpha, self.epsilon, self.radius_a, self.eta, self.n_replicates,
-                          self.noise_scaling, self.n_exited, self.n_diverged, self.n_censored,
-                          self.mean_exit_time, self.predicted_mean, self.ks_distance)
 
 
 def exit_time_study(
@@ -182,8 +173,13 @@ def exit_time_study(
 
 
 @dataclass(frozen=True)
-class TransitionStudy:
+class TransitionStudy(CsvRecord):
     """First hops between valleys against the generator-matrix prediction."""
+
+    CSV_HEADER = (
+        "alpha,epsilon,delta,eta,n_replicates,noise_scaling,"
+        "n_transitioned,n_diverged,mean_transition_time,predicted_mean"
+    )
 
     alpha: float
     epsilon: float
@@ -199,11 +195,6 @@ class TransitionStudy:
     destination_fractions: tuple[float, ...]
     predicted_destination_fractions: tuple[float, ...]
     records: tuple[TransitionRecord, ...]
-
-    def csv_row(self) -> str:
-        return format_row(self.alpha, self.epsilon, self.delta, self.eta, self.n_replicates,
-                          self.noise_scaling, self.n_transitioned, self.n_diverged,
-                          self.mean_transition_time, self.predicted_mean)
 
 
 def transition_study(

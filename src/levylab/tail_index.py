@@ -19,21 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvfmt import format_row
+from .csvfmt import CsvRecord
 from .errors import DegenerateInputError, ParameterError
-
-TAIL_ESTIMATE_HEADER = "alpha_hat,k1,k2,n_used,n_dropped"
 
 
 @dataclass(frozen=True)
-class TailEstimate:
+class TailEstimate(CsvRecord):
     """Result of a block tail-index estimation.
 
     ``n_used == k1 * k2`` always holds; samples lost to zero removal,
     remainder truncation, or zero-sum block removal are counted in
     ``n_dropped``.  ``unreliable`` flags estimates from pools too small to
-    trust (set by layer-wise consumers, never an error).
+    trust (set by layer-wise consumers, never an error) and is not a CSV column.
     """
+
+    CSV_HEADER = "alpha_hat,k1,k2,n_used,n_dropped"
 
     alpha_hat: float
     k1: int
@@ -41,9 +41,6 @@ class TailEstimate:
     n_used: int
     n_dropped: int
     unreliable: bool = False
-
-    def csv_row(self) -> str:
-        return format_row(self.alpha_hat, self.k1, self.k2, self.n_used, self.n_dropped)
 
 
 def estimate_alpha(samples: np.ndarray, k1: int) -> TailEstimate:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convergence import GradientNoise
-from .csvfmt import format_row
+from .csvfmt import CsvRecord, format_row
 from .datasets import DatasetSplit
 from .errors import DegenerateInputError, ParameterError
 from .mlp import MlpModel, accuracy, forward_backward, hit_rate, init_mlp
@@ -182,16 +182,14 @@ def _sgd_step(model, data, b, eta, loss_kind, batch_gen) -> None:
     model.set_params(model.get_params() - eta * g)
 
 
-SWEEP_CELL_HEADER = (
-    "width,depth,batch_size,eta,ratio,final_train_acc,final_test_acc,"
-    "test_error,alpha_hat,diverged"
-)
-SWEEP_GROUP_HEADER = "ratio,n_cells,n_diverged,mean_test_error,mean_alpha_hat"
-
-
 @dataclass(frozen=True)
-class SweepCell:
+class SweepCell(CsvRecord):
     """One (architecture, batch size, stepsize) training outcome."""
+
+    CSV_HEADER = (
+        "width,depth,batch_size,eta,ratio,final_train_acc,final_test_acc,"
+        "test_error,alpha_hat,diverged"
+    )
 
     width: int
     depth: int
@@ -204,25 +202,18 @@ class SweepCell:
     alpha_hat: float
     diverged: bool
 
-    def csv_row(self) -> str:
-        return format_row(self.width, self.depth, self.batch_size, self.eta, self.ratio,
-                          self.final_train_acc, self.final_test_acc, self.test_error,
-                          self.alpha_hat, self.diverged)
-
 
 @dataclass(frozen=True)
-class SweepGroup:
+class SweepGroup(CsvRecord):
     """Cells sharing one stepsize-to-batch ratio, averaged."""
+
+    CSV_HEADER = "ratio,n_cells,n_diverged,mean_test_error,mean_alpha_hat"
 
     ratio: float
     n_cells: int
     n_diverged: int
     mean_test_error: float
     mean_alpha_hat: float
-
-    def csv_row(self) -> str:
-        return format_row(self.ratio, self.n_cells, self.n_diverged, self.mean_test_error,
-                          self.mean_alpha_hat)
 
 
 def noise_scale_sweep(

@@ -80,6 +80,7 @@ def test_blobs_zero_spread_collapses_classes():
         dict(n=8, dim=0, n_classes=2, spread=1.0),
         dict(n=8, dim=2, n_classes=2, spread=-0.5),
         dict(n=8, dim=2, n_classes=2, spread=float("nan")),
+        dict(n=8, dim=2, n_classes=2, spread=float("inf")),
     ],
 )
 def test_blobs_validation(kwargs):

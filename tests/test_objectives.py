@@ -95,7 +95,7 @@ def test_double_well_ordering_enforced():
         double_well(-1.0, -0.5)
 
 
-@pytest.mark.parametrize("scale", [0.0, float("nan")])
+@pytest.mark.parametrize("scale", [0.0, float("nan"), float("inf")])
 def test_double_well_scale_must_be_positive(scale):
     with pytest.raises(ParameterError, match="scale must be positive"):
         double_well(-1.0, 2.0, scale)

@@ -73,6 +73,9 @@ def _declared_fast(monkeypatch, *args):
         dict(max_steps=0),
         dict(epsilon=float("nan")),
         dict(sigma_brownian=float("nan")),
+        dict(eta=float("inf")),
+        dict(epsilon=float("inf")),
+        dict(sigma_brownian=float("inf")),
     ],
 )
 def test_config_validation(bad):
@@ -117,7 +120,7 @@ def test_single_step_matches_update_formula():
     config = _cfg(eta=0.05, epsilon=0.3, alpha=2.0, sigma_brownian=1.5,
                   w0=(0.4,), max_steps=1)
     spec = quadratic(1)
-    traj = simulate(config, spec, RngStream(93))
+    traj = simulate(config, _undeclared(spec), RngStream(93))
     inc = noise_increments(config, 1, RngStream(93).generator())
     w0 = np.asarray(config.w0)
     expected = w0 - config.eta * spec.grad(w0) + inc[0]
@@ -186,7 +189,7 @@ def test_exit_record_consistent_with_replayed_path():
     for rec in records:
         if not rec.exited:
             continue
-        traj = simulate(config, spec, RngStream(98).substream(rec.replicate))
+        traj = simulate(config, _undeclared(spec), RngStream(98).substream(rec.replicate))
         dist = np.abs(traj.points[:, 0])
         assert np.all(dist[: rec.exit_step] <= 0.8)
         assert dist[rec.exit_step] > 0.8

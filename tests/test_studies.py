@@ -7,7 +7,7 @@ from levylab.metastability import expected_exit_time
 from levylab.objectives import double_well, quadratic
 from levylab.rng import RngStream
 from levylab.studies import (
-    EXIT_STUDY_HEADER,
+    ExitTimeStudy,
     exit_time_study,
     ks_distance_exponential,
     occupancy_study,
@@ -55,7 +55,7 @@ def test_exit_time_study_accounting():
     assert study.mean_exit_time == pytest.approx(study.predicted_mean, rel=0.35)
     assert 0.0 <= study.ks_distance <= 1.0
     assert len(study.records) == 40
-    assert len(study.csv_row().split(",")) == len(EXIT_STUDY_HEADER.split(","))
+    assert len(study.csv_row().split(",")) == len(ExitTimeStudy.CSV_HEADER.split(","))
 
 
 def test_literal_noise_scale_runs_slower_than_jump():
