@@ -8,7 +8,9 @@ one lane; the 33-replicate double-well run takes the per-step scan over two
 chunks, with its noise fill split into shares of an odd number of lanes.
 The `converge-blocks` run draws its noise in blocks of 8 steps, the last
 block of each K ragged.  Every listed value of every enumerated key runs at
-least once, except `--source mnist`, which needs IDX files.
+least once, except `--source mnist`, which needs IDX files.  The other
+`train` runs use width 8; `train-wide.csv` runs the benchmark's width 128,
+where BLAS may take other kernels for the layer products.
 
 Each command writes into a fresh temporary $LEVYLAB_OUT; the wall-time line
 is stripped before hashing, so two checkouts that produce the same payloads
@@ -56,6 +58,8 @@ RUNS = [
     " --output converge-gaussian.csv",
     "train --n 240 --dim 5 --classes 3 --width 8 --b 20 --iters 21 --log_every 10"
     " --measure_c_st true --seed 8",
+    "train --n 2000 --dim 20 --classes 10 --width 128 --b 100 --iters 21 --log_every 10"
+    " --measure_c_st true --seed 15 --output train-wide.csv",
     "train --n 240 --dim 5 --classes 3 --width 8 --depth 2 --b 20 --iters 11 --log_every 10"
     " --seed 8 --output train-depth2.csv",
     "train --n 240 --dim 5 --classes 3 --width 8 --b 20 --iters 11 --log_every 10"

@@ -29,7 +29,7 @@ from .csvfmt import CsvRecord
 from .errors import ParameterError
 from .objectives import ObjectiveSpec
 from .rng import RngStream
-from .stable import sample_normal, sample_standard_sas
+from .stable import sample_standard_sas
 
 DEFAULT_GAMMA_SAFETY = 0.8
 
@@ -107,9 +107,13 @@ class GradientNoise:
             raise ParameterError(f"scale must be positive and finite, got {self.scale}")
 
     def sample(self, shape, gen: np.random.Generator, *, time_major: bool = False) -> np.ndarray:
-        """Noise of ``shape``; with ``time_major``, one draw of shape[1:] per leading row."""
+        """Noise of ``shape``; with ``time_major``, one draw of shape[1:] per leading row.
+
+        Gaussian draws come row after row either way, so only the SaS path
+        reads ``time_major``.
+        """
         if self.kind == "gaussian":
-            return self.scale * sample_normal(1.0, shape, gen, time_major=time_major)
+            return self.scale * gen.normal(0.0, 1.0, shape)
         return self.scale * sample_standard_sas(self.alpha, shape, gen, time_major=time_major)
 
 

@@ -13,7 +13,8 @@ neighborhood makes eps^alpha * tau asymptotically exponential with rate
 ``exit_rate(a, alpha)`` = theta/alpha, theta = 2/a^alpha, whose mean is
 ``expected_exit_time``.  All formulas here are normalized for a driving process
 with unit jump intensity density |y|^(-1-alpha); see
-``stable.unit_jump_scale`` for the matching noise amplitude.
+``stable.unit_jump_scale`` for the matching noise amplitude.  Brownian noise
+(alpha = 2) has no jumps, so the exit law takes alpha in (0, 2) only.
 """
 
 from __future__ import annotations
@@ -125,8 +126,8 @@ def expected_exit_time(a: float, epsilon: float, alpha: float) -> float:
     """Leading-order mean first-exit time (alpha/2) * a^alpha / eps^alpha."""
     if not (a > 0 and epsilon > 0):
         raise ParameterError(f"need a > 0 and epsilon > 0, got a={a}, epsilon={epsilon}")
-    if not (0.0 < alpha <= 2.0):
-        raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
+    if not (0.0 < alpha < 2.0):
+        raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
     return (alpha / 2.0) * a**alpha / epsilon**alpha
 
 
@@ -134,6 +135,6 @@ def exit_rate(a: float, alpha: float) -> float:
     """Rate theta/alpha, theta = 2/a^alpha, of the exponential law of eps^alpha * tau."""
     if a <= 0:
         raise ParameterError(f"need a > 0, got a={a}")
-    if not (0.0 < alpha <= 2.0):
-        raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
+    if not (0.0 < alpha < 2.0):
+        raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
     return (2.0 / a**alpha) / alpha

@@ -22,21 +22,40 @@ LOSS_KINDS = ("nll", "linear_hinge")
 class MlpModel:
     """Rectifier MLP; depth counts weight layers, hidden layers use ReLU.
 
+    All parameters live in one float64 vector, ``params``: layer by layer,
+    the (fan_out, fan_in) weight row-major, then the bias.  ``weights`` and
+    ``biases`` are tuples of views into it, so writing ``params`` moves the
+    layers and a layer cannot be swapped for another array.  A new model is
+    all zeros.
+
     ``mean_field`` switches to unit-Gaussian weights with zero bias and a
     forward pass that divides each matrix product by its fan-in, so widths
     can grow without blowing up activations.
     """
 
     layer_sizes: tuple[int, ...]
-    weights: list[np.ndarray] = field(default_factory=list)
-    biases: list[np.ndarray] = field(default_factory=list)
     mean_field: bool = False
+    params: np.ndarray = field(init=False, repr=False)
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.layer_sizes) < 2:
             raise ParameterError(f"need input and output sizes, got {self.layer_sizes}")
         if any(s < 1 for s in self.layer_sizes):
             raise ParameterError(f"layer sizes must be positive, got {self.layer_sizes}")
+        self._layout = []  # per layer: weight slice, weight shape, bias slice
+        stop = 0
+        for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
+            start, bias = stop, stop + fan_out * fan_in
+            stop = bias + fan_out
+            self._layout.append((slice(start, bias), (fan_out, fan_in), slice(bias, stop)))
+        self.params = np.zeros(stop)
+        self.weights, self.biases = zip(*self.layers(self.params))
+
+    def layers(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(weight, bias) views of a vector in the ``params`` layout, per layer."""
+        return [(flat[w].reshape(shape), flat[b]) for w, shape, b in self._layout]
 
     @property
     def depth(self) -> int:
@@ -44,36 +63,23 @@ class MlpModel:
 
     @property
     def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     def layer_slices(self) -> list[slice]:
         """Flat-vector ownership per layer, indexed 1..depth (entry 0 is the
         whole vector)."""
-        slices = [slice(0, self.parameter_count)]
-        start = 0
-        for w, b in zip(self.weights, self.biases):
-            stop = start + w.size + b.size
-            slices.append(slice(start, stop))
-            start = stop
-        return slices
+        return [slice(0, self.parameter_count)] + [
+            slice(w.start, b.stop) for w, _, b in self._layout
+        ]
 
     def get_params(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        return self.params.copy()
 
     def set_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=float)
-        if flat.shape != (self.parameter_count,):
-            raise ShapeError(f"expected {(self.parameter_count,)}, got {flat.shape}")
-        pos = 0
-        for w, b in zip(self.weights, self.biases):
-            w[...] = flat[pos : pos + w.size].reshape(w.shape)
-            pos += w.size
-            b[...] = flat[pos : pos + b.size]
-            pos += b.size
+        if flat.shape != self.params.shape:
+            raise ShapeError(f"expected {self.params.shape}, got {flat.shape}")
+        self.params[...] = flat
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Logits for a batch of inputs (B, input_dim)."""
@@ -99,21 +105,15 @@ def init_mlp(
     layer_sizes: tuple[int, ...], rng: RngStream, scheme: str = "fan_in"
 ) -> MlpModel:
     """Fresh model; 'fan_in' draws N(0, 1/fan_in), 'mean_field' draws N(0, 1)
-    with zero bias and fan-in division in the forward pass."""
+    with fan-in division in the forward pass.  Biases start at zero."""
     if scheme not in ("fan_in", "mean_field"):
         raise ParameterError(f"scheme must be 'fan_in' or 'mean_field', got {scheme!r}")
     gen = rng.generator()
-    sizes = tuple(int(s) for s in layer_sizes)
-    model = MlpModel(layer_sizes=sizes, mean_field=(scheme == "mean_field"))
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        if scheme == "fan_in":
-            w = gen.normal(0.0, 1.0 / np.sqrt(fan_in), (fan_out, fan_in))
-            b = np.zeros(fan_out)
-        else:
-            w = gen.normal(0.0, 1.0, (fan_out, fan_in))
-            b = np.zeros(fan_out)
-        model.weights.append(w)
-        model.biases.append(b)
+    model = MlpModel(layer_sizes=tuple(int(s) for s in layer_sizes),
+                     mean_field=(scheme == "mean_field"))
+    for w in model.weights:
+        scale = 1.0 if model.mean_field else 1.0 / np.sqrt(w.shape[1])
+        w[...] = gen.normal(0.0, scale, w.shape)
     return model
 
 
@@ -151,23 +151,19 @@ def forward_backward(
         raise ShapeError(f"batch must be nonempty (B, input_dim), got {x.shape}")
     if y.shape != (x.shape[0],):
         raise ShapeError(f"labels must be ({x.shape[0]},), got {y.shape}")
+    grad = np.empty(model.parameter_count)  # allocated ahead of the activations it outlives
     logits, acts = model._forward_cached(x)
     loss, delta = _loss_grad_logits(logits, y, loss_kind)
-    grads = []
+    grad_layers = model.layers(grad)
     for l in range(model.depth - 1, -1, -1):
-        w = model.weights[l]
+        w, (gw, gb) = model.weights[l], grad_layers[l]
         if model.mean_field:
             delta = delta / w.shape[1]
-        gw = delta.T @ acts[l]
-        gb = delta.sum(axis=0)
-        grads.append((gw, gb))
+        np.matmul(delta.T, acts[l], out=gw)
+        delta.sum(axis=0, out=gb)
         if l > 0:
             delta = (delta @ w) * (acts[l] > 0.0)
-    parts = []
-    for gw, gb in reversed(grads):
-        parts.append(gw.ravel())
-        parts.append(gb.ravel())
-    return loss, np.concatenate(parts), logits
+    return loss, grad, logits
 
 
 def hit_rate(logits: np.ndarray, y: np.ndarray) -> float:

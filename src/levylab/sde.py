@@ -349,10 +349,10 @@ def first_exit_ensemble(
     drift with 0 < 1 - eta*rate < 1, chunks take the exact linear scan, whose
     paths agree with the per-step update up to floating-point reassociation.
     """
-    if a <= 0.0:
-        raise ParameterError(f"radius a must be positive, got {a}")
-    if not (xi >= 0.0):
-        raise ParameterError(f"margin xi must be nonnegative, got {xi}")
+    if not 0.0 < a < math.inf:
+        raise ParameterError(f"radius a must be positive and finite, got {a}")
+    if not 0.0 <= xi < math.inf:
+        raise ParameterError(f"margin xi must be nonnegative and finite, got {xi}")
     c = np.atleast_1d(np.asarray(center, dtype=float))
     if c.size != config.dim:
         raise ParameterError(f"center dim {c.size} != config dim {config.dim}")

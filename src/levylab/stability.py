@@ -78,19 +78,13 @@ def stability_condition(
         raise ParameterError(f"threshold must be nonnegative, got {threshold}")
     gen = rng.generator()
 
-    shuffled = gen.permutation(x)
-    m = x.size // 3
-    part_x = shuffled[:m]
-    pair_sum = shuffled[m : 2 * m] + shuffled[2 * m : 3 * m]
-    alpha_x = _subset_alpha(part_x)
-    alpha_12 = _subset_alpha(pair_sum)
-
-    shuffled = gen.permutation(x)
-    m = x.size // 4
-    part_xp = shuffled[:m]
-    triple_sum = shuffled[m : 2 * m] + shuffled[2 * m : 3 * m] + shuffled[3 * m : 4 * m]
-    alpha_xp = _subset_alpha(part_xp)
-    alpha_123 = _subset_alpha(triple_sum)
+    estimates = []
+    for n_parts in (3, 4):  # part 1 against the sum of the others, left to right
+        shuffled = gen.permutation(x)
+        m = x.size // n_parts
+        parts = [shuffled[i * m : (i + 1) * m] for i in range(n_parts)]
+        estimates += [_subset_alpha(parts[0]), _subset_alpha(sum(parts[2:], parts[1]))]
+    alpha_x, alpha_12, alpha_xp, alpha_123 = estimates
 
     c_st = max(abs(alpha_x - alpha_12), abs(alpha_xp - alpha_123))
     return StabilityReport(

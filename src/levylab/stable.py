@@ -38,24 +38,6 @@ class StableParams:
             raise ParameterError(f"sigma must be positive and finite, got {self.sigma}")
 
 
-def sample_normal(scale: float, size, gen: np.random.Generator, *,
-                  time_major: bool = False) -> np.ndarray:
-    """``gen.normal(0.0, scale, size)``, or with ``time_major`` its per-row loop.
-
-    With ``time_major``, ``size`` has two axes or more, the leading one
-    counting steps, and the result equals size[0] draws of size[1:] each,
-    bit for bit.
-    """
-    if not time_major:
-        return gen.normal(0.0, scale, size)
-    z = np.empty(size)
-    for row in z:
-        gen.standard_normal(out=row)
-    z *= scale
-    z += 0.0  # gen.normal returns loc + scale * z, which maps -0.0 to 0.0
-    return z
-
-
 def sample_standard_sas(alpha: float, size, gen: np.random.Generator, *,
                         time_major: bool = False) -> np.ndarray:
     """Draw scale-1 symmetric alpha-stable variates from a raw generator.
@@ -67,7 +49,8 @@ def sample_standard_sas(alpha: float, size, gen: np.random.Generator, *,
             * (cos((1-alpha)*phi) / w)**((1-alpha)/alpha).
 
     At alpha = 2 the transform reduces to 2*sqrt(w)*sin(phi), i.e. N(0, 2);
-    the Gaussian branch samples that directly.
+    the Gaussian branch samples that directly with ``gen.normal``, whose
+    draws already come row after row, so ``time_major`` does not change it.
 
     All uniforms are drawn, then all exponentials.  With ``time_major``,
     ``size`` has two axes or more, the leading one counting steps, and each
@@ -77,7 +60,7 @@ def sample_standard_sas(alpha: float, size, gen: np.random.Generator, *,
     if not (0.0 < alpha <= 2.0):
         raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
     if alpha == 2.0:
-        return sample_normal(math.sqrt(2.0), size, gen, time_major=time_major)
+        return gen.normal(0.0, math.sqrt(2.0), size)
     if time_major:
         u, w = np.empty(size), np.empty(size)
         for u_row, w_row in zip(u, w):

@@ -179,7 +179,7 @@ def train_with_tail_logging(
 def _sgd_step(model, data, b, eta, loss_kind, batch_gen) -> None:
     idx = batch_gen.choice(data.n_train, size=b, replace=False)
     _, g, _ = forward_backward(model, data.train_x[idx], data.train_y[idx], loss_kind)
-    model.set_params(model.get_params() - eta * g)
+    model.params -= eta * g
 
 
 @dataclass(frozen=True)
@@ -259,7 +259,7 @@ def noise_scale_sweep(
                     with np.errstate(all="ignore"):
                         for _ in range(iters):
                             _sgd_step(model, data, b, eta, loss_kind, batch_gen)
-                        params_ok = bool(np.isfinite(model.get_params()).all())
+                        params_ok = bool(np.isfinite(model.params).all())
                         loss, g_full, grads, tr_acc = noise_pool_grads(
                             model, data, b, loss_kind
                         )

@@ -24,8 +24,7 @@ from levylab.training import (
 
 def _identity_model(n: int) -> MlpModel:
     model = MlpModel(layer_sizes=(n, n))
-    model.weights.append(np.eye(n))
-    model.biases.append(np.zeros(n))
+    model.weights[0][...] = np.eye(n)
     return model
 
 
@@ -62,19 +61,33 @@ def test_param_round_trip_and_shape_check():
         model.set_params(flat[:-1])
 
 
+def test_layers_are_views_of_the_parameter_vector():
+    model = init_mlp((3, 4, 2), RngStream(164))
+    x = np.ones((1, 3))
+    assert model.forward(x).any()
+    model.params[:] = 0.0
+    assert not any(w.any() for w in model.weights) and not any(b.any() for b in model.biases)
+    assert not model.forward(x).any()
+    model.params[model.layer_slices()[2]] = 1.0  # the last layer's weight, then its bias
+    assert np.array_equal(model.weights[1], np.ones((2, 4)))
+    assert np.array_equal(model.biases[1], np.ones(2))
+    assert not model.weights[0].any() and not model.biases[0].any()
+    assert np.array_equal(model.forward(x), np.ones((1, 2)))
+    with pytest.raises(TypeError):  # a layer cannot be split off the vector
+        model.weights[0] = np.zeros((4, 3))
+
+
 def test_mean_field_forward_is_width_invariant():
     for width in (10, 1000):
         model = MlpModel(layer_sizes=(4, width, 2), mean_field=True)
-        model.weights = [np.ones((width, 4)), np.ones((2, width))]
-        model.biases = [np.zeros(width), np.zeros(2)]
+        for w in model.weights:
+            w[...] = 1.0
         logits = model.forward(np.ones((1, 4)))
         assert np.array_equal(logits, np.ones((1, 2)))
 
 
 def test_nll_at_uniform_logits():
-    model = MlpModel(layer_sizes=(6, 10))
-    model.weights.append(np.zeros((10, 6)))
-    model.biases.append(np.zeros(10))
+    model = MlpModel(layer_sizes=(6, 10))  # a new model is all zeros
     loss, _, _ = forward_backward(model, np.ones((7, 6)), np.zeros(7, dtype=int), "nll")
     assert loss == pytest.approx(np.log(10.0), abs=1e-12)
 
@@ -315,7 +328,7 @@ def test_perfect_accuracy_stops_training(monkeypatch):
     model = _identity_model(2)
     # map each center onto its own logit so the start iterate is already perfect
     centers = np.stack([data.train_x[data.train_y == c][0] for c in range(2)])
-    model.weights[0] = centers
+    model.weights[0][...] = centers
     before = model.get_params()
     rows = train_with_tail_logging(
         model, data, 4, 0.1, 50, "nll", RngStream(149), log_every=1

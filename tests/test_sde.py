@@ -83,9 +83,12 @@ def test_config_validation(bad):
         _cfg(**bad)
 
 
-def test_exit_ensemble_refuses_nan_margin():
-    with pytest.raises(ParameterError, match="xi"):
-        first_exit_ensemble(_cfg(), quadratic(1), 0.0, 1.0, float("nan"), RngStream(0), 2)
+@pytest.mark.parametrize("a, xi, name", [(1.0, float("nan"), "xi"), (float("nan"), 0.0, "a"),
+                                         (float("inf"), 0.0, "a"), (1.0, float("inf"), "xi")],
+                         ids=["xi-nan", "a-nan", "a-inf", "xi-inf"])
+def test_exit_ensemble_refuses_a_bad_radius_or_margin(a, xi, name):
+    with pytest.raises(ParameterError, match=f"{name} must"):
+        first_exit_ensemble(_cfg(), quadratic(1), 0.0, a, xi, RngStream(0), 2)
 
 
 def test_noiseless_descent_is_geometric():

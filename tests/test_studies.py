@@ -58,6 +58,13 @@ def test_exit_time_study_accounting():
     assert len(study.csv_row().split(",")) == len(ExitTimeStudy.CSV_HEADER.split(","))
 
 
+def test_exit_time_study_refuses_gaussian_noise():
+    # at alpha 2 the cf scaling would simulate Brownian noise against a Levy law
+    with pytest.raises(ParameterError, match="alpha"):
+        exit_time_study(quadratic(1), 0.0, 2.0, 0.5, 1.0, 0.01, RngStream(3),
+                        n_replicates=20, noise_scaling="cf")
+
+
 def test_literal_noise_scale_runs_slower_than_jump():
     # the cf-normalized noise has a smaller effective jump intensity, so
     # measured exit times sit well above the nominal-epsilon prediction
