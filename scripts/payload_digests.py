@@ -3,8 +3,9 @@
 
 The one acceptance study without a command, `occupancy_study`, is run too and
 its header and row are hashed as `occupancy_study.csv`.  The 33-replicate
-quadratic exit-time run spans two lane tiles of the engine, the second with
-one lane; the 33-replicate double-well run takes the per-step scan over two
+quadratic exit-time run splits into two lane tiles of unequal size (17 and
+16 on two CPUs), and its second chunk into two tiles of two lanes; the
+33-replicate double-well run takes the per-step scan over two
 chunks, with its noise fill split into shares of an odd number of lanes.
 The `converge-blocks` run draws its noise in blocks of 8 steps, the last
 block of each K ragged.  Every listed value of every enumerated key runs at

@@ -14,7 +14,8 @@ neighborhood makes eps^alpha * tau asymptotically exponential with rate
 ``expected_exit_time``.  All formulas here are normalized for a driving process
 with unit jump intensity density |y|^(-1-alpha); see
 ``stable.unit_jump_scale`` for the matching noise amplitude.  Brownian noise
-(alpha = 2) has no jumps, so the exit law takes alpha in (0, 2) only.
+(alpha = 2) has no jumps, so the exit law and the chain's generator take
+alpha in (0, 2) only.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ def generator_matrix(
     ``saddles`` holds the r-1 interior saddles between r minima; rows of Q
     sum to zero with nonpositive diagonal.
     """
-    if not (0.0 < alpha <= 2.0):
-        raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
+    if not (0.0 < alpha < 2.0):
+        raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
     r = len(minima)
     if r < 2:
         raise ParameterError(f"need at least two minima, got {r}")

@@ -13,17 +13,20 @@ a finer step discretizes the same continuous-time process.
 
 One chunked engine advances every simulation: lanes move in lockstep, each
 on its own substream, and an observer (first exit, first transition, valley
-counts, stored path) sees each chunk once, block by block.  A lane's path
-depends on its stream alone, so it is reproducible per replicate, the same
-at any ensemble size and thread count, and invariant under changes of the
+counts, stored path) sees each chunk once.  It reduces each block of
+positions to a small result where the block is made, and merges those
+results in lane order on the calling thread.  A lane's path depends on its
+stream alone, so it is reproducible per replicate, the same at any ensemble
+size, tile split and thread count, and invariant under changes of the
 stopping rule (enlarging an exit radius can only delay the recorded exit on
 the same path).  A chunk is scanned exactly when the objective declares
-linear drift with 0 < 1 - eta*rate < 1, in tiles of TILE lanes that fill
-and scan as tasks on the shared pool of ``parallel``, one thread per usable
-CPU.  Otherwise the per-step update keeps a chunk time-major: one pool
-task per usable CPU fills the noise of a contiguous share of the lanes,
-then the calling thread steps the rows.  ``simulate`` is a one-lane
-ensemble and scans the same way.
+linear drift with 0 < 1 - eta*rate < 1: its lanes split into near-equal
+tiles of at most TILE lanes, at least one per usable CPU, and each tile
+fills, scans and reduces as one task on the shared pool of ``parallel``,
+one thread per usable CPU.  Otherwise the per-step update keeps a chunk
+time-major: one pool task per usable CPU fills the noise of a contiguous
+share of the lanes, then the calling thread steps the rows and reduces the
+block.  ``simulate`` is a one-lane ensemble and scans the same way.
 Extreme draws are never truncated; an iterate that leaves float range halts
 its path with a divergence marker, which exit measurements count separately
 and never silently merge into exit statistics.
@@ -32,6 +35,7 @@ and never silently merge into exit statistics.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -75,6 +79,8 @@ class SdeConfig:
         w0 = tuple(float(v) for v in np.atleast_1d(np.asarray(self.w0, dtype=float)))
         if len(w0) < 1:
             raise ParameterError("w0 must have at least one component")
+        if not all(map(math.isfinite, w0)):
+            raise ParameterError(f"w0 must be finite, got {w0}")
         object.__setattr__(self, "w0", w0)
 
     @property
@@ -179,13 +185,24 @@ def _scan_chunk_linear(inc, wa, rate, center, eta):
         inc += center
 
 
-def _fill_and_scan(config, gens, lanes, wa, L, scan):
-    """Noise fill and scan of one tile; returns its (T, L, d) positions and (T, L) finite mask."""
-    W = np.empty((lanes.size, L, config.dim))
+def _fill_and_scan(config, gens, lanes, wa, L, scan, reduce, done, scratch):
+    """Noise fill, scan and reduction of one tile, whose (A, L, d) block stays here.
+
+    Returns the tile's last positions, ``reduce(done, W, finite)`` and the
+    mask of its lanes that reached a non-finite iterate.  The block is a
+    view of ``scratch.buf``, one buffer per thread that each of its tiles
+    reuses: a block freed after every tile let the allocator hand its pages
+    back, and faulting them in again cost about a tenth of a one-CPU run.
+    """
+    n = lanes.size * L * config.dim
+    if getattr(scratch, "buf", np.empty(0)).size < n:
+        scratch.buf = np.empty(n)
+    W = scratch.buf[:n].reshape(lanes.size, L, config.dim)
     for i, rid in enumerate(lanes):
         W[i] = noise_increments(config, L, gens[rid])
     scan(W, wa)
-    return W, np.isfinite(W).all(axis=2)
+    finite = np.isfinite(W).all(axis=2)
+    return W[:, -1].copy(), reduce(done, W, finite), ~finite.all(axis=1)
 
 
 def _fill_columns(config, gens, lanes, P, cols):
@@ -194,24 +211,43 @@ def _fill_columns(config, gens, lanes, P, cols):
         P[:, k] = noise_increments(config, P.shape[0], gens[lanes[k]])
 
 
-def _run_lanes(config, spec, streams, observe):
+def _fill_and_step(pool, workers, config, gens, lanes, wa, L, spec, reduce, done):
+    """The per-step chunk of all ``lanes``, returned as ``_fill_and_scan`` returns a tile.
+
+    The (L, A, d) block is local, so it is freed before the next chunk
+    allocates its own.
+    """
+    P = np.empty((L, lanes.size, config.dim))
+    shares = np.array_split(np.arange(lanes.size), min(workers, lanes.size))
+    list(parallel.run_tasks(pool, _fill_columns, [(config, gens, lanes, P, cols)
+                                                  for cols in shares]))
+    _scan_chunk_generic(P, wa, spec, config.eta)
+    finite = np.isfinite(P).all(axis=2).T
+    return P[-1].copy(), reduce(done, P.transpose(1, 0, 2), finite), ~finite.all(axis=1)
+
+
+def _run_lanes(config, spec, streams, reduce, merge):
     """Advance one lane per stream, chunk by chunk, until all retire or time out.
 
-    ``observe(lanes, done, W, finite)`` gets the running lane ids of one
-    block, the steps before the chunk, the block's (A, L, d) positions and
-    their (A, L) finite mask; it returns the mask (or False) of lanes it is
-    done with.  Lanes that reach a non-finite iterate retire too.
+    The observer comes in two parts.  ``reduce(done, W, finite)`` gets the
+    steps before the chunk, one block's (A, L, d) positions and their
+    (A, L) finite mask, and returns a small result that shares no memory
+    with the block, whose buffer the next tile reuses; it must not write
+    to shared state, since blocks reduce concurrently.  ``merge(lanes, done,
+    result)`` gets the block's running lane ids and that result on the
+    calling thread, in lane order, and returns the mask (or False) of lanes
+    it is done with.  Lanes that reach a non-finite iterate retire too.
 
-    Under the linear scan a chunk's lanes split into tiles of TILE lanes,
-    each filled and scanned by one task.  The per-step scan keeps the chunk
-    time-major, as one (L, A, d) block whose rows it steps on the calling
-    thread; its noise is filled first, lane by lane into the block's
-    columns, by one task per contiguous share of the lanes.  Tasks run on
-    one thread per usable CPU when there are two or more and more lanes
-    than one task takes (TILE lanes, or one lane per share).  Observers
-    always run on the calling thread, block by block in lane order, and the
-    next chunk starts only after every block is observed, so a lane's
-    generator is used by one thread at a time.
+    Under the linear scan a chunk's A active lanes split into
+    max(ceil(A / TILE), min(workers, A)) near-equal tiles, and one task
+    per tile fills, scans and reduces it, then returns only its last row,
+    its result and its divergence mask.  The per-step scan keeps the chunk
+    time-major, as one (L, A, d) block whose rows it steps and reduces on
+    the calling thread; its noise is filled first, lane by lane into the
+    block's columns, by one task per contiguous share of the lanes.  Tasks
+    run on one thread per usable CPU when there are two or more and at
+    least two lanes.  The next chunk starts only after every result is
+    merged, so a lane's generator is used by one thread at a time.
     """
     if spec.dim != config.dim:
         raise ParameterError(f"objective dim {spec.dim} != config dim {config.dim}")
@@ -227,26 +263,24 @@ def _run_lanes(config, spec, streams, observe):
     done = 0
     L0 = _chunk_len(eta, config.max_steps)
     workers = parallel.usable_cpus()
-    n_tasks = len(gens) if drift is None else -(-len(gens) // TILE)
-    with parallel.task_pool(n_tasks) as pool, np.errstate(all="ignore"):
+    scratch = threading.local()
+    with parallel.task_pool(len(gens)) as pool, np.errstate(all="ignore"):
         while active.size and done < config.max_steps:
             L = min(L0, config.max_steps - done)
             if drift is None:
-                P = np.empty((L, active.size, config.dim))
-                shares = np.array_split(np.arange(active.size), min(workers, active.size))
-                list(parallel.run_tasks(pool, _fill_columns,
-                                        [(config, gens, active, P, cols) for cols in shares]))
-                _scan_chunk_generic(P, w[active], spec, eta)
-                blocks = [(active, (P.transpose(1, 0, 2), np.isfinite(P).all(axis=2).T))]
+                blocks = [(active, _fill_and_step(pool, workers, config, gens, active,
+                                                  w[active], L, spec, reduce, done))]
             else:
-                tiles = [active[s : s + TILE] for s in range(0, active.size, TILE)]
-                blocks = zip(tiles, parallel.run_tasks(pool, _fill_and_scan,
-                                                       [(config, gens, lanes, w[lanes], L, scan)
-                                                        for lanes in tiles]))
+                n_tiles = max(-(-active.size // TILE), min(workers, active.size))
+                tiles = np.array_split(active, n_tiles)
+                blocks = zip(tiles, parallel.run_tasks(
+                    pool, _fill_and_scan,
+                    [(config, gens, lanes, w[lanes], L, scan, reduce, done, scratch)
+                     for lanes in tiles]))
             retire = []
-            for lanes, (W, finite) in blocks:
-                retire.append(observe(lanes, done, W, finite) | ~finite.all(axis=1))
-                w[lanes] = W[:, -1]
+            for lanes, (last, result, diverged) in blocks:
+                w[lanes] = last
+                retire.append(merge(lanes, done, result) | diverged)
             active = active[~np.concatenate(retire)]
             done += L
 
@@ -261,13 +295,17 @@ def simulate(config: SdeConfig, spec: ObjectiveSpec, rng: RngStream) -> Trajecto
     points[0] = config.w0
     diverged_at = []
 
-    def observe(lanes, done, W, finite):
-        points[done + 1 : done + 1 + W.shape[1]] = W[0]
-        if not finite[0].all():
-            diverged_at.append(done + 1 + int(np.argmin(finite[0])))
+    def reduce(done, W, finite):
+        return W[0].copy(), finite[0]
+
+    def merge(lanes, done, result):
+        path, finite = result
+        points[done + 1 : done + 1 + path.shape[0]] = path
+        if not finite.all():
+            diverged_at.append(done + 1 + int(np.argmin(finite)))
         return False
 
-    _run_lanes(config, spec, [rng], observe)
+    _run_lanes(config, spec, [rng], reduce, merge)
     if diverged_at:
         k = diverged_at[0]
         return Trajectory(points=points[:k].copy(), eta=config.eta, diverged=True,
@@ -286,29 +324,35 @@ def _first_passage(config, spec, rng, n_replicates, detector):
     """Run an ensemble until each lane triggers, diverges, or times out.
 
     ``detector(W)`` maps an (A, L, d) position block to a boolean trigger
-    matrix (A, L) and an optional integer payload matrix.  Returns arrays
-    (hit_step, payload, diverged) indexed by replicate; hit_step is -1 for
-    lanes that never triggered.
+    matrix (A, L) and an optional integer payload matrix; it may run in
+    several tile tasks at once, so it writes to nothing it did not allocate.
+    Returns arrays (hit_step, payload, diverged) indexed by replicate;
+    hit_step is -1 for lanes that never triggered.
     """
     streams = _replicate_streams(rng, n_replicates)
     hit_step = np.full(n_replicates, -1, dtype=np.int64)
     payload = np.full(n_replicates, -1, dtype=np.int64)
     diverged = np.zeros(n_replicates, dtype=bool)
 
-    def observe(lanes, done, W, finite):
+    def reduce(done, W, finite):
         trigger, pay = detector(W)
         stop = trigger | ~finite
-        hit_any = stop.any(axis=1)
         first = stop.argmax(axis=1)
-        for i in np.flatnonzero(hit_any):
-            rid, f = lanes[i], first[i]
-            hit_step[rid] = done + 1 + f
-            diverged[rid] = not finite[i, f]
-            if pay is not None and finite[i, f]:
-                payload[rid] = pay[i, f]
-        return hit_any
+        rows = np.arange(first.size)
+        return (stop.any(axis=1), first, finite[rows, first],
+                None if pay is None else pay[rows, first])
 
-    _run_lanes(config, spec, streams, observe)
+    def merge(lanes, done, result):
+        hit, first, ok, pay = result
+        rid = lanes[hit]
+        hit_step[rid] = done + 1 + first[hit]
+        diverged[rid] = ~ok[hit]
+        if pay is not None:
+            got = hit & ok
+            payload[lanes[got]] = pay[got]
+        return hit
+
+    _run_lanes(config, spec, streams, reduce, merge)
     return hit_step, payload, diverged
 
 
@@ -467,16 +511,19 @@ def occupancy_ensemble(
     counts = np.zeros(n_valleys, dtype=np.int64)
     n_diverged = 0
 
-    def observe(lanes, done, W, finite):
-        nonlocal counts, n_diverged
+    def reduce(done, W, finite):
         keep_from = max(0, burn_in - done)
-        if keep_from < W.shape[1]:
-            block = W[:, keep_from:, 0][finite[:, keep_from:]]
-            counts += np.bincount(spec.valley_index(block), minlength=n_valleys)
-        n_diverged += int((~finite.all(axis=1)).sum())
+        block = W[:, keep_from:, 0][finite[:, keep_from:]]
+        return (np.bincount(spec.valley_index(block), minlength=n_valleys),
+                int((~finite.all(axis=1)).sum()))
+
+    def merge(lanes, done, result):
+        nonlocal counts, n_diverged
+        counts += result[0]
+        n_diverged += result[1]
         return False
 
-    _run_lanes(config, spec, streams, observe)
+    _run_lanes(config, spec, streams, reduce, merge)
     if n_diverged == n_replicates:
         raise ParameterError(f"all {n_replicates} lanes diverged; lower eta or epsilon")
     if counts.sum() == 0:

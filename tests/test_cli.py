@@ -422,6 +422,20 @@ def test_bad_run_input_exits_2_before_any_output(tmp_path, monkeypatch, capsys,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    "transition --alpha 2 --eps 0.4 --eta 0.01 --reps 6 --noise_scaling cf",
+    "metastability --minima -1,2 --saddles 0 --alpha 2",
+], ids=["transition", "metastability"])
+def test_valley_rate_commands_refuse_brownian_alpha(tmp_path, monkeypatch, capsys, argv):
+    # the chain's rates come from the jumps of the driving noise, and alpha 2 has none
+    monkeypatch.setenv("LEVYLAB_OUT", str(tmp_path))
+    assert main(argv.split()) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ParameterError"
+    assert "alpha must lie in (0, 2), got 2.0" in record["message"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_default_valued_unread_key_is_accepted(tmp_path, monkeypatch):
     for sub, extra in (("plain", []), ("flagged", ["--m1", "-1.0", "--start_basin", "0"])):
         (tmp_path / sub).mkdir()

@@ -50,6 +50,13 @@ class _Alone:
         return self.rng.substream(self.r + i)
 
 
+def _slow_drift():
+    """A quadratic whose drift is slow enough (e^-1.5 per 3000-step chunk at eta
+    0.01) that a lane restarted at w0 leaves at another step."""
+    return ObjectiveSpec(dim=1, f=lambda w: 0.025 * w**2, grad=lambda w: 0.05 * w,
+                         linear_drift=(0.05, 0.0))
+
+
 def _declared_fast(monkeypatch, *args):
     """Exit records of a run that must take the exact linear scan."""
 
@@ -76,6 +83,8 @@ def _declared_fast(monkeypatch, *args):
         dict(eta=float("inf")),
         dict(epsilon=float("inf")),
         dict(sigma_brownian=float("inf")),
+        dict(w0=(float("nan"),)),
+        dict(w0=(0.0, float("inf"))),
     ],
 )
 def test_config_validation(bad):
@@ -290,8 +299,9 @@ def test_transition_record_independent_of_ensemble_size(monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_exit_records_at_tile_edges_equal_lone_runs(monkeypatch, threads):
-    # 31, 32, 33 and 65 lanes: one tile, one full tile, a one-lane second
-    # tile, three tiles; each record equals its replicate run alone
+    # 2, 31, 32, 33 and 65 lanes: one lane per CPU, one or two tiles at the
+    # TILE edge, three tiles; each record equals its replicate run alone,
+    # and the tiles run on the pool whenever two CPUs are usable
     config = _cfg(eta=0.01, epsilon=0.1, alpha=1.5, w0=(0.0,), max_steps=6000)
     spec, rng = quadratic(1), RngStream(123)
     alone = [dataclasses.replace(first_exit_ensemble(config, spec, 0.0, 1.0, 0.0,
@@ -307,10 +317,43 @@ def test_exit_records_at_tile_edges_equal_lone_runs(monkeypatch, threads):
         return draw(*args)
 
     monkeypatch.setattr(sde, "noise_increments", spy)
-    for n in (31, 32, 33, 65):
+    for n in (2, 31, 32, 33, 65):
         on_main.clear()
         assert first_exit_ensemble(config, spec, 0.0, 1.0, 0.0, rng, n) == alone[:n]
-        assert on_main == {threads == 1 or n <= sde.TILE}
+        assert on_main == {threads == 1}
+
+
+def test_linear_scan_outcomes_independent_of_tile_size_and_threads(monkeypatch):
+    # every tile split of TILE 1, 7 and 32 at 1, 2 and 3 CPUs; the exit run's
+    # lanes carry their positions over five chunks, the last with fewer
+    # active lanes than CPUs, and about a quarter of the occupancy lanes
+    # overflow in the exact scan
+    exit_config = _cfg(eta=0.01, epsilon=0.05, alpha=1.5, w0=(0.0,), max_steps=15_000)
+    occ_config = SdeConfig(eta=0.01, epsilon=1e294, alpha=0.8, w0=(0.0,), max_steps=3500)
+    fill = sde._fill_and_scan
+    active = {}
+
+    def spy(config, gens, lanes, wa, L, scan, reduce, done, *rest):
+        active[done] = active.get(done, 0) + lanes.size
+        return fill(config, gens, lanes, wa, L, scan, reduce, done, *rest)
+
+    monkeypatch.setattr(sde, "_fill_and_scan", spy)
+    runs = []
+    for tile in (1, 7, 32):
+        monkeypatch.setattr(sde, "TILE", tile)
+        for threads in (1, 2, 3):
+            _threads(monkeypatch, threads)
+            active.clear()
+            records = first_exit_ensemble(exit_config, _slow_drift(), 0.0, 0.6, 0.0,
+                                          RngStream(127), 40)
+            assert 0 < active[max(active)] < 3
+            runs.append((records, occupancy_ensemble(occ_config, quadratic(1),
+                                                     RngStream(130), 40)))
+    records, (frac, n_div) = runs[0]
+    assert 0 < sum(r.exited for r in records) < 40 and 0 < n_div < 40
+    for other, (other_frac, other_div) in runs[1:]:
+        assert other == records
+        assert np.array_equal(other_frac, frac) and other_div == n_div
 
 
 def test_occupancy_with_diverging_lanes_independent_of_threads(monkeypatch):
@@ -429,8 +472,7 @@ def test_multichunk_exit_records_equal_a_per_step_loop(declared, monkeypatch):
     # four chunks of 3000, 3000, 3000 and 1000 steps, and a drift slow enough
     # (e^-1.5 per chunk) that a lane restarted at w0 leaves at another step:
     # a lane that lives past a chunk must start the next one where it stopped
-    slow = ObjectiveSpec(dim=1, f=lambda w: 0.025 * w**2, grad=lambda w: 0.05 * w,
-                         linear_drift=(0.05, 0.0))
+    slow = _slow_drift()
     config = _cfg(eta=0.01, epsilon=0.04, alpha=1.5, w0=(0.0,), max_steps=10_000)
     rng = RngStream(150)
     loop = _per_step_exits(config, slow, rng, 16, 0.5)
