@@ -13,20 +13,21 @@ a finer step discretizes the same continuous-time process.
 
 One chunked engine advances every simulation: lanes move in lockstep, each
 on its own substream, and an observer (first exit, first transition, valley
-counts, stored path) sees each chunk once.  It reduces each block of
-positions to a small result where the block is made, and merges those
-results in lane order on the calling thread.  A lane's path depends on its
-stream alone, so it is reproducible per replicate, the same at any ensemble
-size, tile split and thread count, and invariant under changes of the
-stopping rule (enlarging an exit radius can only delay the recorded exit on
-the same path).  A chunk is scanned exactly when the objective declares
-linear drift with 0 < 1 - eta*rate < 1: its lanes split into near-equal
-tiles of at most TILE lanes, at least one per usable CPU, and each tile
-fills, scans and reduces as one task on the shared pool of ``parallel``,
-one thread per usable CPU.  Otherwise the per-step update keeps a chunk
+counts, stored path) sees each chunk once.  Each chunk's lanes split into
+near-equal tiles of at most TILE lanes, at least one per usable CPU, and
+one task per tile on the shared pool of ``parallel`` (one thread per usable
+CPU) reduces the tile's positions to a small result; the calling thread
+merges those results in lane order.  A lane's path depends on its stream
+alone, so it is reproducible per replicate, the same at any ensemble size,
+tile split and thread count, and invariant under changes of the stopping
+rule (enlarging an exit radius can only delay the recorded exit on the
+same path).  A chunk is scanned exactly when the objective declares linear
+drift with 0 < 1 - eta*rate < 1, and then each tile task also fills and
+scans its own tile first.  Otherwise the per-step update keeps a chunk
 time-major: one pool task per usable CPU fills the noise of a contiguous
-share of the lanes, then the calling thread steps the rows and reduces the
-block.  ``simulate`` is a one-lane ensemble and scans the same way.
+share of the lanes, the calling thread steps the rows, and the tile tasks
+reduce the block's column ranges without copying them.  ``simulate`` is a
+one-lane ensemble and scans the same way.
 Extreme draws are never truncated; an iterate that leaves float range halts
 its path with a divergence marker, which exit measurements count separately
 and never silently merge into exit statistics.
@@ -185,14 +186,19 @@ def _scan_chunk_linear(inc, wa, rate, center, eta):
         inc += center
 
 
-def _fill_and_scan(config, gens, lanes, wa, L, scan, reduce, done, scratch):
-    """Noise fill, scan and reduction of one tile, whose (A, L, d) block stays here.
+def _observe(W, reduce, done):
+    """Last positions, ``reduce(done, W, finite)`` and divergence mask of one (A, L, d) block."""
+    finite = np.isfinite(W).all(axis=2)
+    return W[:, -1].copy(), reduce(done, W, finite), ~finite.all(axis=1)
 
-    Returns the tile's last positions, ``reduce(done, W, finite)`` and the
-    mask of its lanes that reached a non-finite iterate.  The block is a
-    view of ``scratch.buf``, one buffer per thread that each of its tiles
-    reuses: a block freed after every tile let the allocator hand its pages
-    back, and faulting them in again cost about a tenth of a one-CPU run.
+
+def _fill_and_scan(config, gens, lanes, wa, L, scan, reduce, done, scratch):
+    """Noise fill, scan and observation of one tile, whose (A, L, d) block stays here.
+
+    The block is a view of ``scratch.buf``, one buffer per thread that each
+    of its tiles reuses: a block freed after every tile let the allocator
+    hand its pages back, and faulting them in again cost about a tenth of a
+    one-CPU run.
     """
     n = lanes.size * L * config.dim
     if getattr(scratch, "buf", np.empty(0)).size < n:
@@ -201,8 +207,7 @@ def _fill_and_scan(config, gens, lanes, wa, L, scan, reduce, done, scratch):
     for i, rid in enumerate(lanes):
         W[i] = noise_increments(config, L, gens[rid])
     scan(W, wa)
-    finite = np.isfinite(W).all(axis=2)
-    return W[:, -1].copy(), reduce(done, W, finite), ~finite.all(axis=1)
+    return _observe(W, reduce, done)
 
 
 def _fill_columns(config, gens, lanes, P, cols):
@@ -211,43 +216,45 @@ def _fill_columns(config, gens, lanes, P, cols):
         P[:, k] = noise_increments(config, P.shape[0], gens[lanes[k]])
 
 
-def _fill_and_step(pool, workers, config, gens, lanes, wa, L, spec, reduce, done):
-    """The per-step chunk of all ``lanes``, returned as ``_fill_and_scan`` returns a tile.
+def _fill_and_step(pool, workers, config, gens, lanes, wa, L, spec, reduce, done, spans):
+    """The per-step chunk of all ``lanes``: one ``_observe`` result per (start, end) column span.
 
-    The (L, A, d) block is local, so it is freed before the next chunk
-    allocates its own.
+    Each span's tile is a basic slice of the (L, A, d) block, viewed lane
+    major, so no tile is copied.  The block is local and the results share
+    no memory with it, so it is freed before the next chunk allocates its own.
     """
     P = np.empty((L, lanes.size, config.dim))
     shares = np.array_split(np.arange(lanes.size), min(workers, lanes.size))
     list(parallel.run_tasks(pool, _fill_columns, [(config, gens, lanes, P, cols)
                                                   for cols in shares]))
     _scan_chunk_generic(P, wa, spec, config.eta)
-    finite = np.isfinite(P).all(axis=2).T
-    return P[-1].copy(), reduce(done, P.transpose(1, 0, 2), finite), ~finite.all(axis=1)
+    return list(parallel.run_tasks(pool, _observe, [(P[:, s:e].transpose(1, 0, 2), reduce, done)
+                                                    for s, e in spans]))
 
 
 def _run_lanes(config, spec, streams, reduce, merge):
     """Advance one lane per stream, chunk by chunk, until all retire or time out.
 
     The observer comes in two parts.  ``reduce(done, W, finite)`` gets the
-    steps before the chunk, one block's (A, L, d) positions and their
+    steps before the chunk, one tile's (A, L, d) positions and their
     (A, L) finite mask, and returns a small result that shares no memory
-    with the block, whose buffer the next tile reuses; it must not write
-    to shared state, since blocks reduce concurrently.  ``merge(lanes, done,
-    result)`` gets the block's running lane ids and that result on the
+    with the block, whose memory the next tile or chunk reuses; it must not
+    write to shared state, since tiles reduce concurrently.  ``merge(lanes,
+    done, result)`` gets the tile's running lane ids and that result on the
     calling thread, in lane order, and returns the mask (or False) of lanes
     it is done with.  Lanes that reach a non-finite iterate retire too.
 
-    Under the linear scan a chunk's A active lanes split into
-    max(ceil(A / TILE), min(workers, A)) near-equal tiles, and one task
-    per tile fills, scans and reduces it, then returns only its last row,
-    its result and its divergence mask.  The per-step scan keeps the chunk
-    time-major, as one (L, A, d) block whose rows it steps and reduces on
-    the calling thread; its noise is filled first, lane by lane into the
-    block's columns, by one task per contiguous share of the lanes.  Tasks
-    run on one thread per usable CPU when there are two or more and at
-    least two lanes.  The next chunk starts only after every result is
-    merged, so a lane's generator is used by one thread at a time.
+    A chunk's A active lanes split into max(ceil(A / TILE), min(workers, A))
+    near-equal tiles, and one task per tile observes it, returning only its
+    last row, its result and its divergence mask.  Under the linear scan
+    the same task first fills and scans the tile.  The per-step scan keeps
+    the chunk time-major, as one (L, A, d) block: its noise is filled
+    first, lane by lane into the block's columns, by one task per
+    contiguous share of the lanes; the calling thread then steps the rows,
+    and the tile tasks observe the block's column ranges.  Tasks run on one
+    thread per usable CPU when there are two or more and at least two
+    lanes.  The next chunk starts only after every result is merged, so a
+    lane's generator is used by one thread at a time.
     """
     if spec.dim != config.dim:
         raise ParameterError(f"objective dim {spec.dim} != config dim {config.dim}")
@@ -267,18 +274,18 @@ def _run_lanes(config, spec, streams, reduce, merge):
     with parallel.task_pool(len(gens)) as pool, np.errstate(all="ignore"):
         while active.size and done < config.max_steps:
             L = min(L0, config.max_steps - done)
+            tiles = np.array_split(active, max(-(-active.size // TILE), min(workers, active.size)))
             if drift is None:
-                blocks = [(active, _fill_and_step(pool, workers, config, gens, active,
-                                                  w[active], L, spec, reduce, done))]
+                edges = np.cumsum([0] + [lanes.size for lanes in tiles])
+                results = _fill_and_step(pool, workers, config, gens, active, w[active], L,
+                                         spec, reduce, done, zip(edges[:-1], edges[1:]))
             else:
-                n_tiles = max(-(-active.size // TILE), min(workers, active.size))
-                tiles = np.array_split(active, n_tiles)
-                blocks = zip(tiles, parallel.run_tasks(
+                results = parallel.run_tasks(
                     pool, _fill_and_scan,
                     [(config, gens, lanes, w[lanes], L, scan, reduce, done, scratch)
-                     for lanes in tiles]))
+                     for lanes in tiles])
             retire = []
-            for lanes, (last, result, diverged) in blocks:
+            for lanes, (last, result, diverged) in zip(tiles, results):
                 w[lanes] = last
                 retire.append(merge(lanes, done, result) | diverged)
             active = active[~np.concatenate(retire)]
@@ -320,27 +327,29 @@ def _replicate_streams(rng: RngStream, n_replicates: int) -> list[RngStream]:
     return [rng.substream(r) for r in range(n_replicates)]
 
 
-def _first_passage(config, spec, rng, n_replicates, detector):
+def _first_passage(config, spec, rng, n_replicates, detector, payload=None):
     """Run an ensemble until each lane triggers, diverges, or times out.
 
-    ``detector(W)`` maps an (A, L, d) position block to a boolean trigger
-    matrix (A, L) and an optional integer payload matrix; it may run in
-    several tile tasks at once, so it writes to nothing it did not allocate.
-    Returns arrays (hit_step, payload, diverged) indexed by replicate;
-    hit_step is -1 for lanes that never triggered.
+    ``detector(W)`` maps an (A, L, d) position block to a fresh (A, L)
+    boolean trigger matrix, which the caller then overwrites; ``payload(x)``,
+    if given, maps the (A, d) positions at each lane's first trigger to
+    integers.  Both may run in several tile tasks at once, so they write to
+    nothing they did not allocate.  Returns arrays (hit_step, payload,
+    diverged) indexed by replicate; hit_step is -1 for lanes that never
+    triggered, and payload is -1 where there is none.
     """
     streams = _replicate_streams(rng, n_replicates)
     hit_step = np.full(n_replicates, -1, dtype=np.int64)
-    payload = np.full(n_replicates, -1, dtype=np.int64)
+    codes = np.full(n_replicates, -1, dtype=np.int64)
     diverged = np.zeros(n_replicates, dtype=bool)
 
     def reduce(done, W, finite):
-        trigger, pay = detector(W)
-        stop = trigger | ~finite
+        stop = detector(W)
+        stop |= ~finite
         first = stop.argmax(axis=1)
         rows = np.arange(first.size)
         return (stop.any(axis=1), first, finite[rows, first],
-                None if pay is None else pay[rows, first])
+                None if payload is None else payload(W[rows, first]))
 
     def merge(lanes, done, result):
         hit, first, ok, pay = result
@@ -349,11 +358,11 @@ def _first_passage(config, spec, rng, n_replicates, detector):
         diverged[rid] = ~ok[hit]
         if pay is not None:
             got = hit & ok
-            payload[lanes[got]] = pay[got]
+            codes[lanes[got]] = pay[got]
         return hit
 
     _run_lanes(config, spec, streams, reduce, merge)
-    return hit_step, payload, diverged
+    return hit_step, codes, diverged
 
 
 def _outside_ball(W, c, thr):
@@ -408,7 +417,7 @@ def first_exit_ensemble(
     thr = a + xi
 
     hit_step, _, diverged = _first_passage(
-        config, spec, rng, n_replicates, lambda W: (_outside_ball(W, c, thr), None)
+        config, spec, rng, n_replicates, lambda W: _outside_ball(W, c, thr)
     )
     return [
         ExitTimeRecord(
@@ -440,6 +449,21 @@ def _validate_neighborhoods(spec: ObjectiveSpec, delta: float) -> np.ndarray:
     return minima
 
 
+def _edge(t, delta, way):
+    """The float x farthest from t toward ``way`` (+-inf) with abs(x - t) <= delta.
+
+    The rounded difference x - t is monotone in x, so the floats that pass
+    that test form one interval, and lo <= x <= hi between its two edges
+    decides as the test does, NaN and infinities included.
+    """
+    x = t + math.copysign(delta, way)
+    while abs(x - t) > delta:
+        x = math.nextafter(x, t)
+    while abs(math.nextafter(x, way) - t) <= delta:
+        x = math.nextafter(x, way)
+    return x
+
+
 def first_transition_ensemble(
     config: SdeConfig,
     spec: ObjectiveSpec,
@@ -458,20 +482,22 @@ def first_transition_ensemble(
     others = np.array([j for j in range(minima.size) if j != start])
     targets = minima[others]
 
-    def detector(W):
-        # nearest target by a strict running minimum, which breaks ties and
-        # NaNs as argmin does; an argmin over the few targets costs one call
-        # per position
-        x = W[:, :, 0]
-        dist = np.abs(x - targets[0])
-        end = np.full(dist.shape, others[0])
-        for t, j in zip(targets[1:], others[1:]):
-            d = np.abs(x - t)
-            end[d < dist] = j
-            np.minimum(dist, d, out=dist)
-        return dist <= delta, end
+    windows = [(_edge(t, delta, -math.inf), _edge(t, delta, math.inf)) for t in targets]
 
-    hit_step, payload, diverged = _first_passage(config, spec, rng, n_replicates, detector)
+    def near_target(W):
+        # min_j |x - t_j| <= delta, with no (A, L) float temporary per tile
+        x = W[:, :, 0]
+        near = np.zeros_like(x, dtype=bool)
+        for lo, hi in windows:
+            near |= (lo <= x) & (x <= hi)
+        return near
+
+    def nearest_target(x):
+        # argmin keeps the first of equally near targets
+        return others[np.abs(x - targets).argmin(axis=1)]
+
+    hit_step, payload, diverged = _first_passage(config, spec, rng, n_replicates,
+                                                 near_target, nearest_target)
     records = []
     for r in range(n_replicates):
         if hit_step[r] >= 0 and not diverged[r]:

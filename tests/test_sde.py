@@ -1,5 +1,6 @@
 import dataclasses
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -356,6 +357,45 @@ def test_linear_scan_outcomes_independent_of_tile_size_and_threads(monkeypatch):
         assert np.array_equal(other_frac, frac) and other_div == n_div
 
 
+def test_per_step_outcomes_independent_of_tile_size_and_threads(monkeypatch):
+    # every tile split of TILE 1, 7 and 32 at 1, 2 and 3 CPUs on the quartic;
+    # the transition run's last chunk has one active lane, and the occupancy
+    # run's burn-in ends inside its second chunk.  Tiles are observed off the
+    # calling thread exactly when there are two CPUs or more and two lanes
+    trans_config = SdeConfig(eta=0.01, epsilon=0.2, alpha=1.2, w0=(-1.0,), max_steps=12_000)
+    occ_config = SdeConfig(eta=0.01, epsilon=0.3, alpha=1.2, w0=(-1.0,), max_steps=6000)
+    spec = double_well(-1.0, 2.0)
+    observe = sde._observe
+    active, on_main = {}, set()
+
+    def spy(W, reduce, done):
+        active[done] = active.get(done, 0) + W.shape[0]
+        on_main.add(threading.current_thread() is threading.main_thread())
+        return observe(W, reduce, done)
+
+    monkeypatch.setattr(sde, "_observe", spy)
+    runs = []
+    for tile in (1, 7, 32):
+        monkeypatch.setattr(sde, "TILE", tile)
+        for threads in (1, 2, 3):
+            _threads(monkeypatch, threads)
+            active.clear()
+            on_main.clear()
+            transitions = first_transition_ensemble(trans_config, spec, 0.2, RngStream(153), 40)
+            assert 0 < active[max(active)] < 3
+            occupancy = occupancy_ensemble(occ_config, spec, RngStream(141), 40, burn_in=4000)
+            assert on_main == {threads == 1}
+            on_main.clear()
+            first_transition_ensemble(trans_config, spec, 0.2, RngStream(153), 1)
+            assert on_main == {True}
+            runs.append((transitions, occupancy))
+    ((records, div), (frac, n_div)), *others = runs
+    assert 0 < div.sum() and 0 < len(records) < 40 and 0 < n_div < 40
+    for (other_records, other_div), (other_frac, other_n_div) in others:
+        assert other_records == records and np.array_equal(other_div, div)
+        assert np.array_equal(other_frac, frac) and other_n_div == n_div
+
+
 def test_occupancy_with_diverging_lanes_independent_of_threads(monkeypatch):
     # 100 lanes in four tiles; about a quarter overflow in the exact scan
     config = SdeConfig(eta=0.01, epsilon=1e294, alpha=0.8, w0=(0.0,), max_steps=6000)
@@ -412,6 +452,24 @@ def test_2d_exit_detector_keeps_the_distance_where_squares_are_normal(thr):
     distance = np.sqrt(np.sum((W - center) ** 2, axis=2)) > thr
     assert 0 < distance.sum() < 400
     assert np.array_equal(sde._outside_ball(W, center, thr), distance)
+
+
+@pytest.mark.parametrize("t", [-1.0, 0.0, 2.0, 0.3, 1e-300, 1e300])
+@pytest.mark.parametrize("delta", [0.2, 0.7, 1e-17, 5e-324])
+def test_transition_window_decides_like_the_distance(t, delta):
+    # every float within six steps of t, t +- delta and the window's edges
+    lo, hi = sde._edge(t, delta, -np.inf), sde._edge(t, delta, np.inf)
+    x = [np.inf, -np.inf, np.nan]
+    for edge in (t, t - delta, t + delta, lo, hi):
+        for way in (-np.inf, np.inf):
+            v = edge
+            for _ in range(6):
+                x.append(v)
+                v = np.nextafter(v, way)
+    x = np.array(x)
+    with np.errstate(all="ignore"):
+        distance = np.abs(x - t) <= delta
+    assert np.array_equal((lo <= x) & (x <= hi), distance)
 
 
 def test_tile_task_error_surfaces_and_threads_stop(monkeypatch):
@@ -626,6 +684,38 @@ def test_two_basin_transitions_all_land_in_other_basin():
     assert all(r.start_basin == 0 and r.end_basin == 1 for r in records)
     assert all(r.transition_time == pytest.approx(r.transition_step * config.eta)
                for r in records)
+
+
+def test_three_basin_transitions_land_in_the_nearby_neighbor():
+    # from the middle valley a lane reaches either neighbor; each record's
+    # end basin holds the lone run's position at the transition step
+    spec = ObjectiveSpec(dim=1, f=lambda w: w**6 / 6 - 1.25 * w**4 + 2 * w**2,
+                         grad=lambda w: w * (w**2 - 1) * (w**2 - 4),
+                         minima=(-2.0, 0.0, 2.0), saddles=(-1.0, 1.0))
+    config = SdeConfig(eta=0.01, epsilon=0.3, alpha=1.2, w0=(0.0,), max_steps=5000)
+    rng = RngStream(161)
+    records, _ = first_transition_ensemble(config, spec, 0.3, rng, 20)
+    assert {r.end_basin for r in records} == {0, 2}
+    for rec in records:
+        assert rec.start_basin == 1
+        path = simulate(config, spec, rng.substream(rec.replicate)).points
+        assert abs(path[rec.transition_step, 0] - spec.minima[rec.end_basin]) <= 0.3
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_transition_peak_memory_stays_near_one_block(monkeypatch, threads):
+    # the per-step chunk's (L, A, d) block is the one block-sized array; its
+    # tiles are observed without block-sized temporaries
+    _threads(monkeypatch, threads)
+    config = SdeConfig(eta=0.01, epsilon=0.3, alpha=1.2, w0=(-1.0,), max_steps=8192)
+    L = sde._chunk_len(config.eta, config.max_steps)
+    tracemalloc.start()
+    try:
+        first_transition_ensemble(config, double_well(-1.0, 2.0), 0.2, RngStream(7), 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 300 * L * 8
 
 
 def test_occupancy_of_single_valley_path():
