@@ -231,8 +231,8 @@ def run_convergence(
         alive_counts = finite.sum(axis=1)
         if np.any(alive_counts == 0):
             raise ParameterError(f"all replicates diverged at K={K}; shrink eta or scale")
-        sums = np.where(finite, grad_sq, 0.0).sum(axis=1)
-        means = sums / alive_counts
+        np.copyto(grad_sq, 0.0, where=~finite)  # only finite entries are read below
+        means = grad_sq.sum(axis=1) / alive_counts
         k_star = int(np.argmin(means))
         vals = grad_sq[k_star][finite[k_star]]
         stderr = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0

@@ -87,18 +87,21 @@ class MlpModel:
         return h
 
     def _forward_cached(self, x):
+        """Logits and the input of every layer, ``[x, h_1, ..., h_{depth-1}]``.
+
+        Each pre-activation is built in one buffer, which then becomes the
+        layer's output.
+        """
         acts = [x]
-        h = x
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.T + b
+            z = acts[-1] @ w.T
+            z += b
             if self.mean_field:
-                z = z / w.shape[1]
-            if l < self.depth - 1:
-                h = np.maximum(z, 0.0)
-            else:
-                h = z
-            acts.append(h)
-        return h, acts
+                z /= w.shape[1]
+            if l == self.depth - 1:
+                return z, acts
+            np.maximum(z, 0.0, out=z)
+            acts.append(z)
 
 
 def init_mlp(
@@ -144,7 +147,12 @@ def forward_backward(
     model: MlpModel, x: np.ndarray, y: np.ndarray, loss_kind: str
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Batch-mean loss, the exact flat gradient over all parameters, and the
-    logits of the same forward pass."""
+    logits of the same forward pass.
+
+    Backprop frees each layer's activation as it passes it: the ReLU mask
+    is taken from the popped activation before the next delta is built, so
+    about two activation-sized arrays are alive at a time.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -158,11 +166,13 @@ def forward_backward(
     for l in range(model.depth - 1, -1, -1):
         w, (gw, gb) = model.weights[l], grad_layers[l]
         if model.mean_field:
-            delta = delta / w.shape[1]
+            delta /= w.shape[1]
         np.matmul(delta.T, acts[l], out=gw)
         delta.sum(axis=0, out=gb)
         if l > 0:
-            delta = (delta @ w) * (acts[l] > 0.0)
+            mask = acts.pop() > 0.0
+            delta = delta @ w
+            delta *= mask
     return loss, grad, logits
 
 

@@ -79,8 +79,10 @@ def stability_condition(
     gen = rng.generator()
 
     estimates = []
+    shuffled = np.empty_like(x)  # one buffer for both shuffles
     for n_parts in (3, 4):  # part 1 against the sum of the others, left to right
-        shuffled = gen.permutation(x)
+        shuffled[...] = x
+        gen.shuffle(shuffled)  # the draws and bytes of gen.permutation(x)
         m = x.size // n_parts
         parts = [shuffled[i * m : (i + 1) * m] for i in range(n_parts)]
         estimates += [_subset_alpha(parts[0]), _subset_alpha(sum(parts[2:], parts[1]))]

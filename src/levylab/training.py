@@ -269,7 +269,8 @@ def noise_scale_sweep(
                         alpha_hat = float("nan")
                         tr_acc = te_acc = float("nan")
                     else:
-                        est = _pool_estimate((grads - g_full[None, :]).ravel())
+                        grads -= g_full
+                        est = _pool_estimate(grads.ravel())
                         alpha_hat = est.alpha_hat
                         te_acc = accuracy(model, data.test_x, data.test_y)
                     cells.append(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,22 @@ def test_blocked_sweep_equals_per_step_draws(monkeypatch):
     assert all(r.min_grad_sq_mean < np.sum(spec.grad(w0) ** 2) for r in blocked)
     monkeypatch.setattr(convergence, "NOISE_BLOCK", 1)
     assert run_convergence(spec, noise, cfg, w0, RngStream(88)) == blocked
+
+
+def test_convergence_peak_memory_stays_near_one_block():
+    # the (K, R) squared-gradient block is the one block-sized array; the
+    # statistics zero its non-finite entries in place
+    K, R = 20_000, 50
+    spec, noise, w0 = quadratic(2), GradientNoise("sas", 1.5, 1.0), np.full(2, 1.0)
+    cfg = ConvergenceConfig(gamma=0.4, sigma_gamma=2.0, M=1.0, gap=float(spec.f(w0)),
+                            ks=(K,), replicates=R)
+    tracemalloc.start()
+    try:
+        run_convergence(spec, noise, cfg, w0, RngStream(289))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * K * R * 8
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from levylab import parallel, training
 from levylab.convergence import GradientNoise
 from levylab.datasets import synthetic_blobs
 from levylab.errors import ParameterError, ShapeError
-from levylab.mlp import MlpModel, accuracy, forward_backward, init_mlp
+from levylab.mlp import MlpModel, _loss_grad_logits, accuracy, forward_backward, init_mlp
 from levylab.rng import RngStream
 from levylab.stable import StableParams, sample_sas, sample_standard_sas
 from levylab.training import (
@@ -140,6 +141,60 @@ def test_backprop_matches_finite_differences(loss_kind):
             fd[i] = val if slot == 0 else (fd[i] - val) / (2.0 * h)
     model.set_params(flat)
     assert np.linalg.norm(fd - g) / np.linalg.norm(g) < 1e-4
+
+
+def _reference_forward_backward(model, x, y, loss_kind):
+    """Backprop written with a fresh array per expression."""
+    acts, h = [x], x
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = h @ w.T + b
+        if model.mean_field:
+            z = z / w.shape[1]
+        h = np.maximum(z, 0.0) if l < model.depth - 1 else z
+        acts.append(h)
+    loss, delta = _loss_grad_logits(h, y, loss_kind)
+    grads = []
+    for l in range(model.depth - 1, -1, -1):
+        w = model.weights[l]
+        if model.mean_field:
+            delta = delta / w.shape[1]
+        grads[:0] = [(delta.T @ acts[l]).ravel(), delta.sum(axis=0)]
+        if l > 0:
+            delta = (delta @ w) * (acts[l] > 0.0)
+    return loss, np.concatenate(grads), h
+
+
+@pytest.mark.parametrize("loss_kind", ["nll", "linear_hinge"])
+@pytest.mark.parametrize("scheme", ["fan_in", "mean_field"])
+@pytest.mark.parametrize("sizes", [(6, 16, 4), (6, 16, 12, 4)])
+def test_backprop_is_bit_identical_to_fresh_array_reference(loss_kind, scheme, sizes):
+    model = init_mlp(sizes, RngStream(280), scheme=scheme)
+    model.params[...] += RngStream(281).generator().normal(0.0, 0.1, model.parameter_count)
+    gen = RngStream(282).generator()
+    x = gen.normal(0.0, 1.0, (50, sizes[0]))
+    y = gen.integers(0, sizes[-1], 50)
+    loss, grad, logits = forward_backward(model, x, y, loss_kind)
+    ref_loss, ref_grad, ref_logits = _reference_forward_backward(model, x, y, loss_kind)
+    assert loss == ref_loss
+    assert np.array_equal(grad, ref_grad)
+    assert np.array_equal(logits, ref_logits)
+
+
+def test_backprop_peak_memory_stays_near_two_activations():
+    # each pre-activation is built in place and each activation is freed as
+    # backprop passes it, so about two (n, width) arrays are alive at once
+    n, width = 4000, 128
+    model = init_mlp((20, width, width, 10), RngStream(283))
+    gen = RngStream(284).generator()
+    x = gen.normal(0.0, 1.0, (n, 20))
+    y = gen.integers(0, 10, n)
+    tracemalloc.start()
+    try:
+        forward_backward(model, x, y, "nll")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * n * width * 8
 
 
 def test_minibatch_gradients_average_to_full():

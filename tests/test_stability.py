@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,17 +53,18 @@ def test_statistic_definition():
     assert rep.c_st >= 0.0
 
 
-def _gather_shuffle_report(x, rng):
-    """The report computed with index-gather shuffles, ``x[gen.permutation(n)]``."""
+def _gather_shuffle_report(x, rng, shuffle=lambda gen, x: x[gen.permutation(x.size)]):
+    """The report computed with a fresh shuffled array per split, by default
+    an index gather, ``x[gen.permutation(n)]``."""
 
     def alpha(values):
         return estimate_alpha(values, choose_block_size(values.size)).alpha_hat
 
     gen = rng.generator()
-    shuffled = x[gen.permutation(x.size)]
+    shuffled = shuffle(gen, x)
     m = x.size // 3
     alpha_x, alpha_12 = alpha(shuffled[:m]), alpha(shuffled[m : 2 * m] + shuffled[2 * m : 3 * m])
-    shuffled = x[gen.permutation(x.size)]
+    shuffled = shuffle(gen, x)
     m = x.size // 4
     alpha_xp = alpha(shuffled[:m])
     alpha_123 = alpha(shuffled[m : 2 * m] + shuffled[2 * m : 3 * m] + shuffled[3 * m : 4 * m])
@@ -77,6 +80,26 @@ def test_in_place_shuffle_matches_index_gather(n):
     kept = draws.copy()
     assert stability_condition(draws, RngStream(61)) == _gather_shuffle_report(kept, RngStream(61))
     assert np.array_equal(draws, kept)
+
+
+@pytest.mark.parametrize("n", [25, 12347])  # neither 3 nor 4 divides n
+def test_shuffle_buffer_matches_permutation_copies(n):
+    draws = sample_sas(StableParams(1.4, 1.0), n, RngStream(285))
+    reference = _gather_shuffle_report(draws, RngStream(286), lambda gen, x: gen.permutation(x))
+    assert stability_condition(draws, RngStream(286)) == reference
+
+
+def test_stability_peak_memory_stays_below_two_pools():
+    # both splits shuffle one buffer, so the 4-way copy is never alive beside
+    # the 3-way one
+    draws = sample_sas(StableParams(1.4, 1.0), 300_000, RngStream(287))
+    tracemalloc.start()
+    try:
+        stability_condition(draws, RngStream(288))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.85 * draws.nbytes
 
 
 def test_insufficient_samples_rejected():
