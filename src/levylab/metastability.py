@@ -11,7 +11,8 @@ with the outer boundaries at infinity contributing zero.  Transition times
 accelerate like eps^alpha, and the first exit time tau from a radius-a
 neighborhood makes eps^alpha * tau asymptotically exponential with rate
 ``exit_rate(a, alpha)`` = theta/alpha, theta = 2/a^alpha, whose mean is
-``expected_exit_time``.  All formulas here are normalized for a driving process
+``expected_exit_time``; in dim coordinates, each with its own driver, the
+rate is dim times that.  All formulas here are normalized for a driving process
 with unit jump intensity density |y|^(-1-alpha); see
 ``stable.unit_jump_scale`` for the matching noise amplitude.  Brownian noise
 (alpha = 2) has no jumps, so the exit law and the chain's generator take
@@ -123,19 +124,36 @@ def solved_model(minima, saddles, alpha: float) -> MarkovChainModel:
     return replace(model, pi=stationary_distribution(model))
 
 
-def expected_exit_time(a: float, epsilon: float, alpha: float) -> float:
-    """Leading-order mean first-exit time (alpha/2) * a^alpha / eps^alpha."""
+def _check_dim(dim: int) -> None:
+    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
+        raise ParameterError(f"dim must be an integer >= 1, got {dim!r}")
+
+
+def expected_exit_time(a: float, epsilon: float, alpha: float, *, dim: int = 1) -> float:
+    """Leading-order mean first-exit time (alpha/2) * a^alpha / eps^alpha / dim.
+
+    The mean of the ``exit_rate`` law, in the same regime: the ball of radius
+    a around the minimum, one independent driver per coordinate, leading
+    order in eps.
+    """
     if not (a > 0 and epsilon > 0):
         raise ParameterError(f"need a > 0 and epsilon > 0, got a={a}, epsilon={epsilon}")
     if not (0.0 < alpha < 2.0):
         raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
-    return (alpha / 2.0) * a**alpha / epsilon**alpha
+    _check_dim(dim)
+    return (alpha / 2.0) * a**alpha / epsilon**alpha / dim
 
 
-def exit_rate(a: float, alpha: float) -> float:
-    """Rate theta/alpha, theta = 2/a^alpha, of the exponential law of eps^alpha * tau."""
+def exit_rate(a: float, alpha: float, *, dim: int = 1) -> float:
+    """Rate dim * theta/alpha, theta = 2/a^alpha, of the exponential law of eps^alpha * tau.
+
+    Each of the dim coordinates draws its own stable increment, so the jumps
+    lie on the axes, and to leading order in eps the chain leaves the ball of
+    radius a around the minimum at the first jump longer than a along any axis.
+    """
     if a <= 0:
         raise ParameterError(f"need a > 0, got a={a}")
     if not (0.0 < alpha < 2.0):
         raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
-    return (2.0 / a**alpha) / alpha
+    _check_dim(dim)
+    return dim * ((2.0 / a**alpha) / alpha)

@@ -136,15 +136,21 @@ def exit_time_study(
     time_cap_factor: float = 8.0,
     noise_scaling: str = "jump",
 ) -> ExitTimeStudy:
-    """Measure first-exit times from radius a around a minimum.
+    """Measure first-exit times from radius a + xi around a minimum.
 
-    Paths start at the center.  The time cap is time_cap_factor times the
-    predicted mean, so the censored fraction is about exp(-time_cap_factor)
-    when the law holds.  Divergent replicates are excluded from the mean
-    and KS statistics and counted separately.
+    Paths start at the center.  The prediction, the KS rate and the time cap
+    are taken at the simulated radius a + xi and at the objective's
+    dimension.  The time cap is time_cap_factor times the predicted mean, so
+    the censored fraction is about exp(-time_cap_factor) when the law holds.
+    Divergent replicates are excluded from the mean and KS statistics and
+    counted separately.
     """
+    if not 0.0 <= xi < math.inf:
+        raise ParameterError(f"margin xi must be nonnegative and finite, got {xi}")
+    radius = a + xi
     predicted, max_steps = _time_cap(
-        epsilon, eta, time_cap_factor, lambda: expected_exit_time(a, epsilon, alpha)
+        epsilon, eta, time_cap_factor,
+        lambda: expected_exit_time(radius, epsilon, alpha, dim=spec.dim),
     )
     w0 = tuple(np.atleast_1d(np.asarray(center, dtype=float)))
     config = _study_config(alpha, epsilon, eta, noise_scaling, w0, max_steps, sigma_brownian)
@@ -154,7 +160,7 @@ def exit_time_study(
     n_censored = sum((not r.exited) and (not r.diverged) for r in records)
     if times.size == 0:
         raise ParameterError("no replicate exited; raise time_cap_factor or epsilon")
-    ks = ks_distance_exponential(epsilon**alpha * times, exit_rate(a, alpha))
+    ks = ks_distance_exponential(epsilon**alpha * times, exit_rate(radius, alpha, dim=spec.dim))
     return ExitTimeStudy(
         alpha=alpha,
         epsilon=epsilon,

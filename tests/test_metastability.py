@@ -155,6 +155,22 @@ def test_exit_rate_is_inverse_mean(a, eps, alpha):
     )
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_exit_rate_scales_with_dimension(dim):
+    assert exit_rate(1.0, 1.5, dim=dim) == dim * exit_rate(1.0, 1.5)
+    assert expected_exit_time(1.0, 0.1, 1.5, dim=dim) == pytest.approx(
+        expected_exit_time(1.0, 0.1, 1.5) / dim
+    )
+
+
+@pytest.mark.parametrize("dim", [0, -1, 1.5])
+def test_exit_law_refuses_a_bad_dimension(dim):
+    with pytest.raises(ParameterError, match="dim"):
+        exit_rate(1.0, 1.5, dim=dim)
+    with pytest.raises(ParameterError, match="dim"):
+        expected_exit_time(1.0, 0.1, 1.5, dim=dim)
+
+
 def test_model_as_dict_survives_json():
     model = solved_model((-1.0, 2.0), (0.0,), 1.0)
     payload = json.loads(json.dumps(model.as_dict()))
