@@ -6,8 +6,15 @@ unknown, duplicate, or missing required key is fatal, because a silently
 ignored typo in an experiment parameter corrupts conclusions downstream.
 
 Every key's schema entry states its whole domain, and parsing applies it:
-a float or float-list value must be finite, and an enumerated key takes only
-the values it lists, so no runner ever sees a value outside its domain.
+a float or float-list value must be finite, an enumerated key takes only
+the values it lists, and a key with a check must pass it (a key whose 0
+means "derive it" must be >= 0), so no runner sees a value outside it.
+
+`RULES` declares each command's cross-key rules, applied right after the
+domain check: while a selector holds (an enumerated key at one value, or a
+key moved off its default, or left at it), each key it leaves unread must
+stay at its default, so the provenance records no setting that had no
+effect, and each key it requires must be given.
 
 Every result file opens with a provenance block (command, config hash,
 seed, the full resolved configuration, wall time).  Payloads are
@@ -24,6 +31,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,11 +67,14 @@ from .training import (
 OUT_DIR_ENV = "LEVYLAB_OUT"
 
 _REQUIRED = object()
+_NON_NEGATIVE = (lambda v: not np.signbit(v), "must be >= 0")  # -0.0 would pass as unset
+_TWO_DISTINCT = (lambda v: len(set(v)) >= 2, "needs two or more distinct K values to fit a slope")
 
-# key -> (kind, default); kinds: int float str bool list_int list_float, or a
-# tuple of the only strings an enumerated key takes.  Floats must be finite.
-# A key shared by several commands is declared once, in the group below that
-# holds it; keys whose default differs by command stay in the command.
+# key -> (kind, default) or (kind, default, (test, wording)); kinds: int float
+# str bool list_int list_float, or a tuple of the only strings an enumerated key
+# takes.  Floats must be finite.  A key shared by several commands is declared
+# once, in the group below that holds it; keys whose default differs by command
+# stay in the command.
 _COMMON = {"seed": ("int", 0), "output": ("str", ""), "format": ("str", "")}
 _SAS = {"alpha": ("float", _REQUIRED), "sigma": ("float", 1.0), "n": ("int", _REQUIRED)}
 _WELL = {
@@ -93,13 +104,13 @@ _DATA = {
     "subsample": ("int", 0),
 }
 
-SCHEMAS: dict[str, dict[str, tuple[str | tuple[str, ...], object]]] = {
+SCHEMAS: dict[str, dict[str, tuple]] = {
     "sample": {**_COMMON, **_SAS},
-    "estimate": {**_COMMON, **_SAS, "k1": ("int", 0)},
+    "estimate": {**_COMMON, **_SAS, "k1": ("int", 0, _NON_NEGATIVE)},
     "stability": {
         **_COMMON,
         "source": (("sas", "gaussian", "mixture"), "sas"),
-        "alpha": ("float", 0.0),
+        "alpha": ("float", 0.0, _NON_NEGATIVE),
         "n": ("int", _REQUIRED),
         "threshold": ("float", 0.05),
         "shift": ("float", 5.0),
@@ -132,16 +143,16 @@ SCHEMAS: dict[str, dict[str, tuple[str | tuple[str, ...], object]]] = {
         **_COMMON,
         "noise": (("sas", "gaussian"), "sas"),
         "alpha": ("float", 1.5),
-        "gamma": ("float", 0.0),
+        "gamma": ("float", 0.0, _NON_NEGATIVE),
         "scale": ("float", 1.0),
         "d": ("int", 10),
         "w0_scale": ("float", 4.0),
-        "ks": ("list_int", (100, 1000, 10000)),
+        "ks": ("list_int", (100, 1000, 10000), _TWO_DISTINCT),
         "reps": ("int", 100),
         "m_const": ("float", 1.0),
-        "sigma_gamma": ("float", 0.0),
-        "c": ("float", 0.0),
-        "eta": ("float", 0.0),
+        "sigma_gamma": ("float", 0.0, _NON_NEGATIVE),
+        "c": ("float", 0.0, _NON_NEGATIVE),
+        "eta": ("float", 0.0, _NON_NEGATIVE),
         "sigma_samples": ("int", 20000),
         "max_diverged_fraction": ("float", 0.5),
     },
@@ -150,14 +161,14 @@ SCHEMAS: dict[str, dict[str, tuple[str | tuple[str, ...], object]]] = {
         **_DATA,
         "n": ("int", 8000),
         "width": ("int", 128),
-        "depth": ("int", 3),
+        "depth": ("int", 3, (lambda v: v >= 1, "must be >= 1")),
         "b": ("int", 100),
         "eta": ("float", 0.1),
         "iters": ("int", 1000),
         "loss": (LOSS_KINDS, "nll"),
         "log_every": ("int", 100),
         "measure_c_st": ("bool", False),
-        "inject_alpha": ("float", 0.0),
+        "inject_alpha": ("float", 0.0, _NON_NEGATIVE),
         "inject_scale": ("float", 1.0),
         "init": (("fan_in", "mean_field"), "fan_in"),
     },
@@ -178,8 +189,46 @@ SCHEMAS: dict[str, dict[str, tuple[str | tuple[str, ...], object]]] = {
 
 COMMANDS = tuple(SCHEMAS)
 
-_DEFAULT_FORMAT = {cmd: "csv" for cmd in COMMANDS}
-_DEFAULT_FORMAT["metastability"] = "json"
+SET, UNSET = True, False  # selector values: the key moved off its default, or left at it
+
+
+class Rule(NamedTuple):
+    """While ``key`` takes ``value`` (one its enumeration lists, or SET or UNSET),
+    each ``unread`` key stays at its default and each ``required`` key is moved off
+    it.  Errors name the selector ``key = value``, or ``name`` if given."""
+
+    key: str
+    value: str | bool
+    unread: tuple[str, ...] = ()
+    required: tuple[str, ...] = ()
+    name: str = ""
+
+
+_IDX = ("images", "labels", "test_images", "test_labels")
+_DATA_RULES = (
+    Rule("source", "blobs", unread=(*_IDX, "subsample")),
+    Rule("source", "mnist", unread=("n", "dim", "classes", "spread"), required=_IDX),
+)
+
+RULES: dict[str, tuple[Rule, ...]] = {
+    "exit-time": (
+        Rule("objective", "quadratic", unread=tuple(_WELL)),
+        Rule("objective", "double_well", unread=("dim",)),
+    ),
+    "stability": (
+        Rule("source", "sas", unread=("shift",), required=("alpha",)),
+        Rule("source", "gaussian", unread=("alpha", "shift")),
+        Rule("source", "mixture", unread=("alpha",)),
+    ),
+    "converge": (
+        Rule("noise", "gaussian", unread=("alpha",)),
+        Rule("eta", SET, unread=("c",), name="eta > 0"),
+        Rule("sigma_gamma", SET, unread=("sigma_samples",), name="sigma_gamma > 0"),
+    ),
+    "train": (*_DATA_RULES,
+              Rule("inject_alpha", UNSET, unread=("inject_scale",), name="inject_alpha <= 0")),
+    "sweep": _DATA_RULES,
+}
 
 
 @dataclass(frozen=True)
@@ -220,27 +269,23 @@ _READERS = {"int": int, "float": float, "str": str, "bool": _read_bool,
             "list_int": _read_list(int), "list_float": _read_list(float)}
 
 
-def _convert(command: str, key: str, value: str, kind):
-    """``value`` read as ``kind`` and checked against the key's domain.
-
-    A non-finite float would pass the runners' ``> 0.0`` tests as unset or
-    reach the run, so it is refused like any other value outside the domain.
-    """
+def _convert(command: str, key: str, value: str, kind, check=None):
+    """``value`` read as ``kind`` and checked against the key's domain: a value
+    outside it would reach the run, or pass its ``> 0.0`` tests as unset."""
     text = value.strip()
     if isinstance(kind, tuple):
         if text not in kind:
             raise ConfigError(
-                f"{command}: key '{key}' must be one of {', '.join(kind)}, got {text!r}"
-            )
+                f"{command}: key '{key}' must be one of {', '.join(kind)}, got {text!r}")
         return text
     try:
         typed = _READERS[kind](text)
     except ValueError:
-        raise ConfigError(
-            f"{command}: key '{key}' expects {kind}, got {value!r}"
-        ) from None
+        raise ConfigError(f"{command}: key '{key}' expects {kind}, got {value!r}") from None
     if kind in ("float", "list_float") and not np.isfinite(typed).all():
         raise ParameterError(f"{command}: key '{key}' must be finite, got {format_cell(typed)}")
+    if check and not check[0](typed):
+        raise ConfigError(f"{command}: key '{key}' {check[1]}, got {format_cell(typed)}")
     return typed
 
 
@@ -251,8 +296,8 @@ def parse_config(
 
     The command comes from a `command = ...` line or from the override; if
     both are given they must agree.  Unknown, duplicate, or missing required
-    keys, and values outside a key's domain, are fatal and named in the
-    diagnostic.
+    keys, values outside a key's domain, and breaches of the command's
+    ``RULES`` are fatal and named in the diagnostic.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -284,33 +329,43 @@ def parse_config(
     if unknown:
         raise ConfigError(f"{command}: unknown key '{unknown[0]}'")
     params = {}
-    for key, (kind, default) in schema.items():
+    for key, (kind, default, *check) in schema.items():
         if key in raw:
-            params[key] = _convert(command, key, raw[key], kind)
+            params[key] = _convert(command, key, raw[key], kind, *check)
         elif default is _REQUIRED:
             raise ConfigError(f"{command}: missing required key '{key}'")
         else:
             params[key] = default
-    fmt = params.pop("format") or _DEFAULT_FORMAT[command]
-    if fmt != _DEFAULT_FORMAT[command]:
-        raise ConfigError(
-            f"{command}: format '{fmt}' unsupported; this command emits "
-            f"{_DEFAULT_FORMAT[command]}"
-        )
-    output = params.pop("output") or f"{command}.{fmt}"
-    return ExperimentConfig(
-        command=command, parameters=params, output_path=output, format=fmt
-    )
+    moved = {key for key in params if params[key] != schema[key][1]}
+    for rule in RULES.get(command, ()):
+        state = rule.key in moved if isinstance(rule.value, bool) else params[rule.key]
+        if state != rule.value:
+            continue
+        label = rule.name or f"{rule.key} = {rule.value}"
+        for key in rule.unread:
+            if key in moved:
+                raise ConfigError(f"{command}: key '{key}' is not read when {label}; remove it")
+        for key in rule.required:
+            if key not in moved:
+                raise ConfigError(f"{command}: key '{key}' is required when {label}")
+    fmt = params.pop("format")
+    emits = "json" if command == "metastability" else "csv"
+    if fmt not in ("", emits):
+        raise ConfigError(f"{command}: format '{fmt}' unsupported; this command emits {emits}")
+    output = params.pop("output") or f"{command}.{emits}"
+    return ExperimentConfig(command=command, parameters=params, output_path=output, format=emits)
+
+
+def _config_lines(config: ExperimentConfig) -> list[str]:
+    """``key = value`` for every parameter in key order, then output and format."""
+    p = config.parameters
+    return [*(f"{key} = {format_cell(p[key])}" for key in sorted(p)),
+            f"output = {config.output_path}", f"format = {config.format}"]
 
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical text form; parsing it back yields an equal config."""
-    lines = [f"command = {config.command}"]
-    for key in sorted(config.parameters):
-        lines.append(f"{key} = {format_cell(config.parameters[key])}")
-    lines.append(f"output = {config.output_path}")
-    lines.append(f"format = {config.format}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"command = {config.command}", *_config_lines(config)]) + "\n"
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -318,19 +373,11 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def _provenance_lines(config: ExperimentConfig, wall_time_s: float) -> list[str]:
-    lines = [
-        f"# levylab {config.command}",
-        f"# config_hash = {config_hash(config)}",
-        f"# seed = {config.parameters['seed']}",
-    ]
-    for key in sorted(config.parameters):
-        if key == "seed":
-            continue
-        lines.append(f"# {key} = {format_cell(config.parameters[key])}")
-    lines.append(f"# output = {config.output_path}")
-    lines.append(f"# format = {config.format}")
-    lines.append(f"# wall_time_s = {wall_time_s:.3f}")
-    return lines
+    """The config as comments, its seed line first, after the command and hash."""
+    lines = _config_lines(config)
+    seed = lines.pop(sorted(config.parameters).index("seed"))
+    return [f"# levylab {config.command}", f"# config_hash = {config_hash(config)}",
+            f"# {seed}", *(f"# {line}" for line in lines), f"# wall_time_s = {wall_time_s:.3f}"]
 
 
 def _resolve_path(path: str) -> str:
@@ -341,24 +388,25 @@ def _resolve_path(path: str) -> str:
 
 def _check_output_dirs(config: ExperimentConfig) -> None:
     """Refuse a run whose output files (``output``, then ``records_output`` or
-    ``groups_output`` when set) would land in a missing directory."""
+    ``groups_output`` when set) would land in a missing directory, or whose
+    extra file is the ``output`` file."""
     p = config.parameters
-    extra = [p[k] for k in ("records_output", "groups_output") if k in p and p[k]]
-    for path in (config.output_path, *extra):
+    extra = [k for k in ("records_output", "groups_output") if p.get(k)]
+    output = os.path.realpath(_resolve_path(config.output_path))
+    for key in extra:
+        if os.path.realpath(_resolve_path(p[key])) == output:
+            raise ConfigError(f"{config.command}: key '{key}' names the output file {p[key]!r}")
+    for path in (config.output_path, *(p[k] for k in extra)):
         folder = os.path.dirname(_resolve_path(path)) or "."
         if not os.path.isdir(folder):
             raise ConfigError(f"output directory {folder!r} of {path!r} does not exist")
 
 
-def _write_csv(path: str, config: ExperimentConfig, wall: float,
-               header: str, rows: list[str], partial: bool = False,
-               trailer: tuple[str, ...] | list[str] = ()) -> None:
+def _write_csv(path: str, config: ExperimentConfig, wall: float, result: RunResult) -> None:
     lines = _provenance_lines(config, wall)
-    if partial:
+    if result.partial:
         lines.append("# partial = true")
-    lines.append(header)
-    lines.extend(rows)
-    lines.extend(trailer)
+    lines += [result.header, *result.rows, *result.trailer]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -372,23 +420,10 @@ def _write_json(path: str, config: ExperimentConfig, wall: float, document: dict
         fh.write("\n")
 
 
-def _reject_unread(config: ExperimentConfig, reason: str, *keys: str) -> None:
-    """Refuse ``keys`` unread under ``reason`` unless at their default, which
-    leaves the provenance equal to a run without them."""
-    schema = SCHEMAS[config.command]
-    for key in keys:
-        if config.parameters[key] != schema[key][1]:
-            raise ConfigError(
-                f"{config.command}: key '{key}' is not read when {reason}; remove it"
-            )
-
-
 def _build_objective(config: ExperimentConfig):
     p = config.parameters
     if p["objective"] == "quadratic":
-        _reject_unread(config, "objective = quadratic", *_WELL)
         return quadratic(p["dim"]), tuple([0.0] * p["dim"])
-    _reject_unread(config, "objective = double_well", "dim")
     spec = double_well(p["m1"], p["m2"], p["scale"])
     return spec, (start_minimum(spec, p["start_basin"]),)
 
@@ -414,16 +449,10 @@ def _run_stability(config: ExperimentConfig):
     gen = RngStream(p["seed"]).generator()
     n = p["n"]
     if p["source"] == "sas":
-        _reject_unread(config, "source = sas", "shift")
-        if p["alpha"] <= 0.0:
-            raise ConfigError("stability: key 'alpha' required for source = sas")
         pool = sample_sas(StableParams(p["alpha"]), n, RngStream(p["seed"]))
-    elif p["source"] == "gaussian":
-        _reject_unread(config, "source = gaussian", "alpha", "shift")
-        pool = gen.normal(0.0, 1.0, n)
     else:
-        _reject_unread(config, "source = mixture", "alpha")
         pool = gen.normal(0.0, 1.0, n)
+    if p["source"] == "mixture":
         signs = gen.integers(0, 2, n) * 2 - 1
         pool = pool + p["shift"] * signs
     report = stability_condition(pool, RngStream(p["seed"], 1), p["threshold"])
@@ -469,15 +498,6 @@ def _run_transition(config: ExperimentConfig):
 def _run_converge(config: ExperimentConfig):
     p = config.parameters
     kind = p["noise"]
-    if len(set(p["ks"])) < 2:
-        raise ConfigError(f"converge: key 'ks' needs two or more distinct K values to fit a slope, "
-                          f"got {format_cell(p['ks'])}")
-    if kind == "gaussian":
-        _reject_unread(config, "noise = gaussian", "alpha")
-    if p["eta"] > 0.0:
-        _reject_unread(config, "eta > 0", "c")
-    if p["sigma_gamma"] > 0.0:
-        _reject_unread(config, "sigma_gamma > 0", "sigma_samples")
     alpha = 2.0 if kind == "gaussian" else p["alpha"]
     noise = GradientNoise(kind, alpha, p["scale"])
     gamma = p["gamma"] if p["gamma"] > 0.0 else (
@@ -508,34 +528,22 @@ def _run_converge(config: ExperimentConfig):
 
 def _load_data(config: ExperimentConfig, rng: RngStream) -> DatasetSplit:
     p = config.parameters
-    files = ("images", "labels", "test_images", "test_labels")
     if p["source"] == "blobs":
-        _reject_unread(config, "source = blobs", *files, "subsample")
         return synthetic_blobs(p["n"], p["dim"], p["classes"], p["spread"], rng)
-    _reject_unread(config, "source = mnist", "n", "dim", "classes", "spread")
-    for key in files:
-        if not p[key]:
-            raise ConfigError(f"source = mnist requires key '{key}'")
     train_x, train_y = load_mnist_idx(p["images"], p["labels"])
     test_x, test_y = load_mnist_idx(p["test_images"], p["test_labels"])
     sub = p["subsample"]
     if sub > 0:
         train_x, train_y = train_x[:sub], train_y[:sub]
-    return DatasetSplit(
-        train_x=train_x, train_y=train_y, test_x=test_x, test_y=test_y,
-        n_classes=10,
-    )
+    return DatasetSplit(train_x=train_x, train_y=train_y, test_x=test_x, test_y=test_y,
+                        n_classes=10)
 
 
 def _run_train(config: ExperimentConfig):
     p = config.parameters
-    if p["depth"] < 1:
-        raise ConfigError(f"train: depth must be >= 1, got {p['depth']}")
     injection = None
     if p["inject_alpha"] > 0.0:
         injection = GradientNoise("sas", p["inject_alpha"], p["inject_scale"])
-    else:
-        _reject_unread(config, "inject_alpha <= 0", "inject_scale")
     rng = RngStream(p["seed"])
     data = _load_data(config, rng.substream(1))
     sizes = (data.input_dim, *([p["width"]] * (p["depth"] - 1)), data.n_classes)
@@ -589,35 +597,28 @@ USAGE = (
 
 
 def _parse_argv(argv: list[str]) -> tuple[str, str, dict[str, str]]:
-    command = argv[0]
     file_text = ""
     flags: dict[str, str] = {}
-    i = 1
-    while i < len(argv):
-        tok = argv[i]
+    tokens = iter(argv[1:])
+    for tok in tokens:
         if not tok.startswith("--"):
             raise ConfigError(f"expected --key, got {tok!r}")
-        body = tok[2:]
-        if "=" in body:
-            key, _, value = body.partition("=")
-        else:
-            key = body
-            i += 1
-            if i >= len(argv):
+        key, eq, value = tok[2:].partition("=")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
                 raise ConfigError(f"flag --{key} needs a value")
-            value = argv[i]
         if key == "config":
             try:
                 with open(value) as fh:
                     file_text = fh.read()
             except OSError as exc:
                 raise ConfigError(f"cannot read config file {value!r}: {exc}") from None
+        elif key in flags:
+            raise ConfigError(f"duplicate key '{key}'")
         else:
-            if key in flags:
-                raise ConfigError(f"duplicate key '{key}'")
             flags[key] = value
-        i += 1
-    return command, file_text, flags
+    return argv[0], file_text, flags
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -636,12 +637,10 @@ def main(argv: list[str] | None = None) -> int:
         if result.document is not None:
             _write_json(out_path, config, wall, result.document)
         else:
-            _write_csv(out_path, config, wall, result.header, result.rows,
-                       result.partial, result.trailer)
+            _write_csv(out_path, config, wall, result)
         if result.extra is not None:
-            ex_path, ex_header, ex_rows = result.extra
-            _write_csv(_resolve_path(ex_path), config, wall, ex_header, ex_rows,
-                       result.partial)
+            path, header, rows = result.extra
+            _write_csv(_resolve_path(path), config, wall, RunResult(header, rows, result.partial))
         return 3 if result.partial else 0
     except (ConfigError, ParameterError, ShapeError, DegenerateInputError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc), "status": 2}

@@ -1,19 +1,23 @@
 import json
 import struct
 import time
+from pathlib import Path
 
 import pytest
 
 import levylab
 from levylab.cli import (
     COMMANDS,
+    RULES,
     SCHEMAS,
+    UNSET,
     ExperimentConfig,
     config_hash,
     main,
     parse_config,
     serialize_config,
 )
+from levylab.csvfmt import format_cell
 from levylab.errors import ConfigError
 
 SAMPLE_TEXT = "command = sample\nalpha = 1.5\nn = 1000\nseed = 7\n"
@@ -386,7 +390,7 @@ def _schema_domain_cases():
     """Every float key with nan and inf, and every enumerated key with an unlisted
     value, of every command: parsing refuses each and names the key."""
     for command, schema in SCHEMAS.items():
-        for key, (kind, _) in schema.items():
+        for key, (kind, *_) in schema.items():
             if kind in ("float", "list_float"):
                 yield from ((command, key, v, "ParameterError", f"key '{key}' must be finite")
                             for v in ("nan", "inf"))
@@ -406,6 +410,13 @@ _BAD_INPUTS = [
     *[("transition", "reps", v, "ParameterError", "n_replicates must") for v in ("-1", "0")],
     *[("sweep", "etas", v, "ParameterError", f"eta must be positive and finite, got {v}")
       for v in ("-0.5", "0")],
+    # a key whose 0 means "derive it" would read a negative value as unset
+    *[("converge", key, v, "ConfigError", f"converge: key '{key}' must be >= 0, got {v}")
+      for key, v in (("eta", "-0.5"), ("c", "-2.0"), ("gamma", "-1.0"), ("sigma_gamma", "-1.0"),
+                     ("eta", "-0.0"))],
+    ("train", "inject_alpha", "-1", "ConfigError", "train: key 'inject_alpha' must be >= 0"),
+    ("estimate", "k1", "-5", "ConfigError", "estimate: key 'k1' must be >= 0, got -5"),
+    ("stability", "alpha", "-1", "ConfigError", "stability: key 'alpha' must be >= 0"),
 ]
 
 
@@ -511,3 +522,145 @@ def test_converge_needs_two_ks_before_any_chain(tmp_path, monkeypatch, capsys):
         assert main(["converge", *argv]) == 2
         assert "'ks'" in json.loads(capsys.readouterr().err)["message"]
         assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(f"{_EXIT} --records_output exit-time.csv", id="exit-time"),
+        pytest.param(f"{_EXIT} --records_output ./exit-time.csv", id="exit-time-dot"),
+        pytest.param(f"{_EXIT} --output {{out}}/e.csv --records_output sub/../e.csv",
+                     id="exit-time-absolute"),
+        pytest.param("transition --alpha 1.2 --eps 0.4 --eta 0.01 --reps 6"
+                     " --records_output transition.csv", id="transition"),
+        pytest.param(f"{_SWEEP} {_BLOBS} --output sweep_groups.csv", id="sweep-default-groups"),
+    ],
+)
+def test_extra_output_on_the_main_output_fails_before_the_run(tmp_path, monkeypatch, capsys,
+                                                              argv):
+    import levylab.cli as cli
+
+    def no_run(config):
+        raise AssertionError("the run started before its output paths were checked")
+
+    monkeypatch.setitem(cli._RUNNERS, argv.split()[0], no_run)
+    monkeypatch.setenv("LEVYLAB_OUT", str(tmp_path))
+    assert main(argv.format(out=tmp_path).split()) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert "_output' names the output file" in record["message"]
+    assert not list(tmp_path.iterdir())
+
+
+# a value for each key without a default, for the commands that have rules
+_RULE_BASES = {
+    "exit-time": {"alpha": "1.5", "eps": "0.5", "a": "0.5"},
+    "stability": {"n": "600"},
+    "converge": {},
+    "train": {},
+    "sweep": {"widths": "8", "batch_sizes": "20", "etas": "0.1"},
+}
+
+
+def _label(rule):
+    return rule.name or f"{rule.key} = {rule.value}"
+
+
+def _off_default(command, key):
+    """A value of ``key`` inside its domain but off its default."""
+    kind, default, *_ = SCHEMAS[command][key]
+    return default + "x" if kind == "str" else format_cell(default + 1)
+
+
+def _holds(command, rule, flags):
+    """Whether ``rule``'s selector holds for ``flags``, which hold only moved keys."""
+    if isinstance(rule.value, bool):
+        return (rule.key in flags) is rule.value
+    return flags.get(rule.key, SCHEMAS[command][rule.key][1]) == rule.value
+
+
+def _given(command, flags, skip=None):
+    """``flags`` plus each key a rule that holds for them requires, but ``skip``."""
+    needed = {key: _off_default(command, key) for rule in RULES[command]
+              if _holds(command, rule, flags) for key in rule.required if key != skip}
+    return {**flags, **needed}
+
+
+def _elsewhere(command, rule, key):
+    """Selector flags under which ``rule`` does not hold and ``key`` is read."""
+    if isinstance(rule.value, bool):
+        return {rule.key: _off_default(command, rule.key)} if rule.value is UNSET else {}
+    return next({rule.key: v} for v in SCHEMAS[command][rule.key][0]
+                if v != rule.value and not any(key in r.unread for r in RULES[command]
+                                               if _holds(command, r, {rule.key: v})))
+
+
+def _argv(command, flags):
+    return [command, *(t for k, v in flags.items() for t in (f"--{k}", v))]
+
+
+@pytest.mark.parametrize("command, rule", [
+    pytest.param(command, rule, id=f"{command}-{_label(rule).replace(' ', '')}")
+    for command, rules in RULES.items() for rule in rules
+])
+def test_rule_table_entry_fires_at_parse_time(tmp_path, monkeypatch, capsys, command, rule):
+    # the output directory is missing, so only a check made before it can name the key
+    monkeypatch.setenv("LEVYLAB_OUT", str(tmp_path / "missing"))
+    selector = {rule.key: rule.value} if isinstance(rule.value, str) else (
+        {rule.key: _off_default(command, rule.key)} if rule.value else {})
+    under = {**_RULE_BASES[command], **selector}
+    assert _holds(command, rule, under)
+    for key in rule.unread:
+        moved = {key: _off_default(command, key)}
+        assert main(_argv(command, {**_given(command, under), **moved})) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert f"key '{key}' is not read when {_label(rule)}" in record["message"]
+        other = {**_RULE_BASES[command], **_elsewhere(command, rule, key)}
+        assert not _holds(command, rule, other)
+        config = parse_config("", command, _given(command, {**other, **moved}))
+        assert format_cell(config.parameters[key]) == moved[key]
+    for key in rule.required:
+        assert main(_argv(command, _given(command, under, skip=key))) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert f"key '{key}' is required when {_label(rule)}" in record["message"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", RULES)
+def test_rule_table_names_only_schema_keys_and_values(command):
+    import levylab.cli as cli
+
+    schema = SCHEMAS[command]
+    for rule in RULES[command]:
+        kind = schema[rule.key][0]
+        if isinstance(rule.value, bool):
+            assert rule.name and not isinstance(kind, tuple), rule
+        else:
+            assert isinstance(kind, tuple) and rule.value in kind, rule
+        implied = {*rule.unread, *rule.required}
+        assert implied <= set(schema) - {rule.key}, rule
+        assert not set(rule.unread) & set(rule.required), rule
+        # a key without a default can be neither left at it nor moved off it
+        assert all(schema[key][1] is not cli._REQUIRED for key in implied), rule
+
+
+def _rendered_rules():
+    """The README's rule list, one bullet per command, rendered from ``RULES``."""
+    def keys(names):
+        return ", ".join(f"`{k}`" for k in names)
+
+    for command, rules in RULES.items():
+        parts = []
+        for rule in rules:
+            part = f"`{_label(rule)}` leaves {keys(rule.unread)} unread"
+            parts.append(part + (f" and requires {keys(rule.required)}" if rule.required else ""))
+        yield f"`{command}`: " + "; ".join(parts) + "."
+
+
+def test_readme_lists_the_rule_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listing = readme.split("each selector and what it implies:\n\n")[1].split("\n\n")[0]
+    bullets = [" ".join(b.split()) for b in ("\n" + listing).split("\n- ")[1:]]
+    assert bullets == list(_rendered_rules())
