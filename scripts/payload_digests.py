@@ -7,7 +7,8 @@ quadratic exit-time run splits into two lane tiles of unequal size (17 and
 16 on two CPUs), and its second chunk into two tiles of two lanes; the
 33-replicate double-well run takes the per-step scan over two
 chunks, with its noise fill split into shares of an odd number of lanes.
-The `converge-blocks` run draws its noise in blocks of 8 steps, the last
+The `exit-brownian` run adds a Brownian part to the stable noise, so each
+lane draws its normals after its stable block.  The `converge-blocks` run draws its noise in blocks of 8 steps, the last
 block of each K ragged.  Every listed value of every enumerated key runs at
 least once, except `--source mnist`, which needs IDX files.  The other
 `train` runs use width 8; `train-wide.csv` runs the benchmark's width 128,
@@ -44,6 +45,9 @@ RUNS = [
     "exit-time --objective quadratic --alpha 1.5 --eps 0.1 --a 1.0 --eta 0.01 --reps 33"
     " --time_cap_factor 2 --seed 11 --output exit-tiles.csv"
     " --records_output exit-tiles-records.csv",
+    "exit-time --objective quadratic --alpha 1.6 --eps 0.5 --a 1.0 --eta 0.01 --reps 20"
+    " --sigma_brownian 0.5 --seed 13 --output exit-brownian.csv"
+    " --records_output exit-brownian-records.csv",
     "exit-time --objective double_well --start_basin 1 --alpha 1.5 --eps 0.5 --a 0.5"
     " --eta 0.01 --reps 20 --seed 5 --output exit-well.csv"
     " --records_output exit-well-records.csv",

@@ -13,9 +13,10 @@ optimized by eta = c_gamma / K^(1/(1+gamma)).  The expectation is proxied
 by the replicate average; with stable noise that average is itself heavy
 tailed, so replicate counts buy less than they would under a Gaussian.
 
-A sweep draws its noise in blocks of NOISE_BLOCK variates' worth of steps,
-time-major, so each block equals that many per-step draws bit for bit; the
-gradient loop stays per step.
+A sweep draws its noise in blocks of NOISE_BLOCK variates' worth of steps.
+Each K takes its uniforms (or Gaussian normals) from one substream and its
+exponentials from another, so a block of any length equals that many
+per-step draws bit for bit; the gradient loop stays per step.
 """
 
 from __future__ import annotations
@@ -106,15 +107,13 @@ class GradientNoise:
         if not (0.0 < self.scale < math.inf):
             raise ParameterError(f"scale must be positive and finite, got {self.scale}")
 
-    def sample(self, shape, gen: np.random.Generator, *, time_major: bool = False) -> np.ndarray:
-        """Noise of ``shape``; with ``time_major``, one draw of shape[1:] per leading row.
-
-        Gaussian draws come row after row either way, so only the SaS path
-        reads ``time_major``.
-        """
+    def sample(self, shape, gen: np.random.Generator,
+               exp_gen: np.random.Generator) -> np.ndarray:
+        """Noise of ``shape``: normals or SaS uniforms from ``gen``, SaS
+        exponentials from ``exp_gen`` (see ``sample_standard_sas``)."""
         if self.kind == "gaussian":
             return self.scale * gen.normal(0.0, 1.0, shape)
-        return self.scale * sample_standard_sas(self.alpha, shape, gen, time_major=time_major)
+        return self.scale * sample_standard_sas(self.alpha, shape, gen, exp_gen)
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ def estimate_sigma_gamma(
     w0 = np.atleast_1d(np.asarray(w0, dtype=float))
     g0 = np.atleast_1d(np.asarray(spec.grad(w0), dtype=float))
     gen = rng.generator()
-    u = noise.sample((n_samples, w0.size), gen)
+    u = noise.sample((n_samples, w0.size), gen, gen)
     norms = np.sqrt(np.sum((g0[None, :] + u) ** 2, axis=1))
     return float(np.mean(norms ** (1.0 + gamma)) ** (1.0 / (1.0 + gamma)))
 
@@ -216,13 +215,13 @@ def run_convergence(
     rows = []
     for i, K in enumerate(config.ks):
         eta = config.eta_for(K)
-        gen = rng.substream(i).generator()
+        gen, exp_gen = rng.substream(i).generator(), rng.substream(i, 1).generator()
         W = np.tile(w0, (R, 1))
         grad_sq = np.full((K, R), np.nan)
         with np.errstate(all="ignore"):
             for k in range(K):
                 if k % steps == 0:
-                    U = noise.sample((min(steps, K - k), R, w0.size), gen, time_major=True)
+                    U = noise.sample((min(steps, K - k), R, w0.size), gen, exp_gen)
                 G = spec.grad(W)
                 grad_sq[k] = np.sum(G * G, axis=1)
                 W = W - eta * (G + U[k % steps])

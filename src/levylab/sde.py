@@ -139,12 +139,13 @@ def _chunk_len(eta: float, max_steps: int) -> int:
 def noise_increments(config: SdeConfig, n_steps: int, gen: np.random.Generator) -> np.ndarray:
     """Combined per-step noise increments, shape (n_steps, dim).
 
-    Draw order is fixed (stable block first, then the Brownian block when
-    sigma_brownian > 0) so that paths are reproducible from the stream alone.
+    Draw order is fixed (the stable block's uniforms, then its exponentials,
+    then the Brownian block when sigma_brownian > 0) so that paths are
+    reproducible from the stream alone.
     """
     d = config.dim
     amp_s = config.epsilon * config.eta ** (1.0 / config.alpha)
-    inc = amp_s * sample_standard_sas(config.alpha, (n_steps, d), gen)
+    inc = amp_s * sample_standard_sas(config.alpha, (n_steps, d), gen, gen)
     if config.sigma_brownian > 0.0:
         amp_z = config.epsilon * config.sigma_brownian * math.sqrt(config.eta)
         inc += amp_z * gen.normal(0.0, 1.0, (n_steps, d))

@@ -38,9 +38,9 @@ class StableParams:
             raise ParameterError(f"sigma must be positive and finite, got {self.sigma}")
 
 
-def sample_standard_sas(alpha: float, size, gen: np.random.Generator, *,
-                        time_major: bool = False) -> np.ndarray:
-    """Draw scale-1 symmetric alpha-stable variates from a raw generator.
+def sample_standard_sas(alpha: float, size, gen: np.random.Generator,
+                        exp_gen: np.random.Generator) -> np.ndarray:
+    """Draw scale-1 symmetric alpha-stable variates from two raw generators.
 
     Chambers-Mallows-Stuck, symmetric case: with phi uniform on
     (-pi/2, pi/2) and w standard exponential,
@@ -49,26 +49,21 @@ def sample_standard_sas(alpha: float, size, gen: np.random.Generator, *,
             * (cos((1-alpha)*phi) / w)**((1-alpha)/alpha).
 
     At alpha = 2 the transform reduces to 2*sqrt(w)*sin(phi), i.e. N(0, 2);
-    the Gaussian branch samples that directly with ``gen.normal``, whose
-    draws already come row after row, so ``time_major`` does not change it.
+    the Gaussian branch samples that directly with ``gen.normal``.
 
-    All uniforms are drawn, then all exponentials.  With ``time_major``,
-    ``size`` has two axes or more, the leading one counting steps, and each
-    row's uniforms and then its exponentials are drawn in turn, so the
-    result equals size[0] calls of size[1:] each, bit for bit.
+    The uniforms (or the normals) come from ``gen`` and the exponentials
+    from ``exp_gen``, each drawn as one block of ``size``.  A generator's
+    draws of one kind concatenate across calls, so with two generators a
+    draw whose leading axis counts steps equals that many per-step draws,
+    bit for bit.  One generator passed as both draws all the uniforms, then
+    all the exponentials.
     """
     if not (0.0 < alpha <= 2.0):
         raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
     if alpha == 2.0:
         return gen.normal(0.0, math.sqrt(2.0), size)
-    if time_major:
-        u, w = np.empty(size), np.empty(size)
-        for u_row, w_row in zip(u, w):
-            gen.random(out=u_row)
-            gen.standard_exponential(out=w_row)
-    else:
-        u = gen.uniform(size=size)
-        w = gen.standard_exponential(size)
+    u = gen.random(size)
+    w = exp_gen.standard_exponential(size)
     phi = (u - 0.5) * np.pi
     if alpha == 1.0:
         return np.tan(phi)
@@ -84,7 +79,7 @@ def sample_sas(params: StableParams, n: int, rng: RngStream) -> np.ndarray:
     if n < 0:
         raise ParameterError(f"n must be nonnegative, got {n}")
     gen = rng.generator()
-    return params.sigma * sample_standard_sas(params.alpha, n, gen)
+    return params.sigma * sample_standard_sas(params.alpha, n, gen, gen)
 
 
 def unit_jump_scale(alpha: float) -> float:

@@ -150,7 +150,7 @@ def train_with_tail_logging(
             )
             train_acc = hit_rate(logits, data.train_y)
             gen = log_stream.substream(k, 0).generator()
-            deviations = injection.sample((data.n_train // b, g_full.size), gen)
+            deviations = injection.sample((data.n_train // b, g_full.size), gen, gen)
             deviations += g_full  # injected gradients, rounded like minibatch ones
         deviations -= g_full
         test_acc = accuracy(model, data.test_x, data.test_y)

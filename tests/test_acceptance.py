@@ -41,7 +41,7 @@ def test_estimator_accuracy():
     worst_bias, worst_std, per_alpha = 0.0, 0.0, []
     for i, alpha in enumerate((0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0)):
         gen = RngStream(200).substream(i).generator()
-        draws = sample_standard_sas(alpha, (100, 100_000), gen)
+        draws = sample_standard_sas(alpha, (100, 100_000), gen, gen)
         hats = np.array([estimate_alpha(row, 100).alpha_hat for row in draws])
         bias, std = hats.mean() - alpha, hats.std(ddof=1)
         worst_bias = max(worst_bias, abs(bias))
@@ -151,7 +151,7 @@ def test_stability_calibration():
     sas_c, mix_c = [], []
     for r in range(runs):
         gen = RngStream(240).substream(r).generator()
-        pool = sample_standard_sas(0.8, n, gen)
+        pool = sample_standard_sas(0.8, n, gen, gen)
         sas_c.append(stability_condition(pool, RngStream(241).substream(r)).c_st)
         gen2 = RngStream(242).substream(r).generator()
         mix = gen2.normal(0.0, 1.0, n) + 5.0 * (gen2.integers(0, 2, n) * 2 - 1)

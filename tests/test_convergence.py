@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -167,25 +168,28 @@ def test_rows_are_deterministic():
 
 
 @pytest.mark.parametrize("kind, alpha", [("gaussian", 2.0), ("sas", 1.5)])
-def test_time_major_noise_equals_per_step_draws(kind, alpha):
+def test_noise_block_equals_per_step_draws(kind, alpha):
     noise = GradientNoise(kind, alpha, 3.0)
-    block_gen, step_gen = np.random.default_rng(87), np.random.default_rng(87)
-    block = noise.sample((9, 4, 3), block_gen, time_major=True)
-    assert np.array_equal(block, np.stack([noise.sample((4, 3), step_gen) for _ in range(9)]))
-    assert block_gen.random() == step_gen.random()
+    gens = (np.random.default_rng(87), np.random.default_rng(187))
+    step_gens = copy.deepcopy(gens)
+    block = noise.sample((9, 4, 3), *gens)
+    assert np.array_equal(block, np.stack([noise.sample((4, 3), *step_gens) for _ in range(9)]))
+    assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in step_gens]
 
 
-def test_blocked_sweep_equals_per_step_draws(monkeypatch):
+@pytest.mark.parametrize("block", [1, 3000])
+def test_blocked_sweep_equals_per_step_draws(monkeypatch, block):
     # 100 replicates in d 10 draw 8-step blocks; K = 70 ends on a 6-step
-    # block.  A block of one step per draw is the per-step reference.  The
-    # noise is mild enough that each minimum comes after the start, where
-    # the noise has acted.
+    # block.  Against them, a block of one step per draw is the per-step
+    # reference, and 3-step blocks end K = 70 and K = 200 on ragged blocks
+    # of their own.  The noise is mild enough that each minimum comes after
+    # the start, where the noise has acted.
     spec, noise, w0 = quadratic(10), GradientNoise("sas", 1.5, 0.5), np.full(10, 4.0 / np.sqrt(10))
     cfg = ConvergenceConfig(gamma=0.4, sigma_gamma=5.0, M=1.0, gap=float(spec.f(w0)),
                             ks=(70, 200), replicates=100)
     blocked = run_convergence(spec, noise, cfg, w0, RngStream(88))
     assert all(r.min_grad_sq_mean < np.sum(spec.grad(w0) ** 2) for r in blocked)
-    monkeypatch.setattr(convergence, "NOISE_BLOCK", 1)
+    monkeypatch.setattr(convergence, "NOISE_BLOCK", block)
     assert run_convergence(spec, noise, cfg, w0, RngStream(88)) == blocked
 
 

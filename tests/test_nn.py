@@ -267,9 +267,9 @@ def test_layerwise_separates_planted_tails():
     slices = model.layer_slices()
     gen = RngStream(140).generator()
     dev = np.empty((200, model.parameter_count))
-    dev[:, slices[1]] = sample_standard_sas(1.8, (200, slices[1].stop), gen)
+    dev[:, slices[1]] = sample_standard_sas(1.8, (200, slices[1].stop), gen, gen)
     dev[:, slices[2]] = sample_standard_sas(
-        1.2, (200, slices[2].stop - slices[2].start), gen
+        1.2, (200, slices[2].stop - slices[2].start), gen, gen
     )
     estimates = layerwise_alpha(dev, model)
     assert estimates[1].alpha_hat == pytest.approx(1.8, abs=0.15)

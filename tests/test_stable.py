@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -82,11 +83,23 @@ def test_unit_jump_scale_positive_and_continuous_at_one():
 
 
 
-@pytest.mark.parametrize("alpha", [0.5, 2 / 3, 1.0, 1.5, 2.0])
-def test_time_major_block_equals_per_step_draws(alpha):
+@pytest.mark.parametrize("alpha", [0.5, 2 / 3, 0.8, 1.0, 1.5, 2.0])
+def test_two_generator_block_equals_per_step_draws(alpha):
     # 2/3 and 0.5 give exponents 0.5 and 2, where ** takes scalar fast paths
-    block_gen, step_gen = np.random.default_rng(31), np.random.default_rng(31)
-    block = sample_standard_sas(alpha, (9, 100, 10), block_gen, time_major=True)
-    steps = [sample_standard_sas(alpha, (100, 10), step_gen) for _ in range(9)]
+    gens = (np.random.default_rng(31), np.random.default_rng(32))
+    step_gens = copy.deepcopy(gens)
+    block = sample_standard_sas(alpha, (9, 100, 10), *gens)
+    steps = [sample_standard_sas(alpha, (100, 10), *step_gens) for _ in range(9)]
     assert np.array_equal(block, np.stack(steps))
-    assert block_gen.random() == step_gen.random()
+    assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in step_gens]
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5])
+def test_one_generator_draws_all_uniforms_then_all_exponentials(alpha):
+    size = (50, 4)
+    gen = np.random.default_rng(33)
+    u_gen, w_gen = copy.deepcopy(gen), copy.deepcopy(gen)
+    w_gen.random(size)  # the exponentials start where the uniforms end
+    draws = sample_standard_sas(alpha, size, gen, gen)
+    assert np.array_equal(draws, sample_standard_sas(alpha, size, u_gen, w_gen))
+    assert gen.bit_generator.state == w_gen.bit_generator.state
