@@ -75,7 +75,7 @@ _TWO_DISTINCT = (lambda v: len(set(v)) >= 2, "needs two or more distinct K value
 # takes.  Floats must be finite.  A key shared by several commands is declared
 # once, in the group below that holds it; keys whose default differs by command
 # stay in the command.
-_COMMON = {"seed": ("int", 0), "output": ("str", ""), "format": ("str", "")}
+_COMMON = {"seed": ("int", 0), "output": ("str", "")}
 _SAS = {"alpha": ("float", _REQUIRED), "sigma": ("float", 1.0), "n": ("int", _REQUIRED)}
 _WELL = {
     "m1": ("float", -1.0),
@@ -122,7 +122,6 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "objective": (("quadratic", "double_well"), "quadratic"),
         "dim": ("int", 1),
         "a": ("float", _REQUIRED),
-        "xi": ("float", 0.0),
         "reps": ("int", 500),
         "sigma_brownian": ("float", 0.0),
     },
@@ -238,7 +237,6 @@ class ExperimentConfig:
     command: str
     parameters: dict
     output_path: str
-    format: str
 
 
 @dataclass(frozen=True)
@@ -348,19 +346,16 @@ def parse_config(
         for key in rule.required:
             if key not in moved:
                 raise ConfigError(f"{command}: key '{key}' is required when {label}")
-    fmt = params.pop("format")
-    emits = "json" if command == "metastability" else "csv"
-    if fmt not in ("", emits):
-        raise ConfigError(f"{command}: format '{fmt}' unsupported; this command emits {emits}")
-    output = params.pop("output") or f"{command}.{emits}"
-    return ExperimentConfig(command=command, parameters=params, output_path=output, format=emits)
+    suffix = "json" if command == "metastability" else "csv"
+    output = params.pop("output") or f"{command}.{suffix}"
+    return ExperimentConfig(command=command, parameters=params, output_path=output)
 
 
 def _config_lines(config: ExperimentConfig) -> list[str]:
-    """``key = value`` for every parameter in key order, then output and format."""
+    """``key = value`` for every parameter in key order, then output."""
     p = config.parameters
     return [*(f"{key} = {format_cell(p[key])}" for key in sorted(p)),
-            f"output = {config.output_path}", f"format = {config.format}"]
+            f"output = {config.output_path}"]
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -476,7 +471,7 @@ def _run_exit_time(config: ExperimentConfig):
     spec, center = _build_objective(config)
     study = exit_time_study(
         spec, center, p["alpha"], p["eps"], p["a"], p["eta"],
-        RngStream(p["seed"]), n_replicates=p["reps"], xi=p["xi"],
+        RngStream(p["seed"]), n_replicates=p["reps"],
         sigma_brownian=p["sigma_brownian"],
         time_cap_factor=p["time_cap_factor"],
         noise_scaling=p["noise_scaling"],

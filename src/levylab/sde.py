@@ -103,14 +103,13 @@ class Trajectory:
 class ExitTimeRecord(CsvRecord):
     """First-exit outcome of one replicate."""
 
-    CSV_HEADER = "replicate,exited,exit_step,exit_time,radius_a,margin_xi,diverged"
+    CSV_HEADER = "replicate,exited,exit_step,exit_time,radius_a,diverged"
 
     replicate: int
     exited: bool
     exit_step: int | None
     exit_time: float | None
     radius_a: float
-    margin_xi: float
     diverged: bool = False
 
 
@@ -393,11 +392,10 @@ def first_exit_ensemble(
     spec: ObjectiveSpec,
     center: tuple[float, ...] | float,
     a: float,
-    xi: float,
     rng: RngStream,
     n_replicates: int,
 ) -> list[ExitTimeRecord]:
-    """First exit from the ball of radius a + xi around center, per replicate.
+    """First exit from the ball of radius a around center, per replicate.
 
     Replicate r runs on ``rng.substream(r)``.  If ``spec`` declares linear
     drift with 0 < 1 - eta*rate < 1, chunks take the exact linear scan, whose
@@ -405,20 +403,15 @@ def first_exit_ensemble(
     """
     if not 0.0 < a < math.inf:
         raise ParameterError(f"radius a must be positive and finite, got {a}")
-    if not 0.0 <= xi < math.inf:
-        raise ParameterError(f"margin xi must be nonnegative and finite, got {xi}")
     c = np.atleast_1d(np.asarray(center, dtype=float))
     if c.size != config.dim:
         raise ParameterError(f"center dim {c.size} != config dim {config.dim}")
     start_dist = float(np.sqrt(np.sum((np.asarray(config.w0) - c) ** 2)))
-    if start_dist > a + xi:
-        raise ParameterError(
-            f"w0 lies outside the exit ball: |w0 - center| = {start_dist} > a + xi = {a + xi}"
-        )
-    thr = a + xi
+    if start_dist > a:
+        raise ParameterError(f"w0 lies outside the exit ball: |w0 - center| = {start_dist} > a = {a}")
 
     hit_step, _, diverged = _first_passage(
-        config, spec, rng, n_replicates, lambda W: _outside_ball(W, c, thr)
+        config, spec, rng, n_replicates, lambda W: _outside_ball(W, c, a)
     )
     return [
         ExitTimeRecord(
@@ -427,7 +420,6 @@ def first_exit_ensemble(
             exit_step=hit if hit >= 0 else None,
             exit_time=hit * config.eta if hit >= 0 else None,
             radius_a=a,
-            margin_xi=xi,
             diverged=div,
         )
         for r, (hit, div) in enumerate(zip(hit_step.tolist(), diverged.tolist()))

@@ -29,7 +29,7 @@ def test_parse_types_and_defaults():
     assert config.parameters["alpha"] == 1.5
     assert config.parameters["n"] == 1000 and isinstance(config.parameters["n"], int)
     assert config.parameters["sigma"] == 1.0
-    assert config.output_path == "sample.csv" and config.format == "csv"
+    assert config.output_path == "sample.csv"
 
 
 def test_flag_overrides_beat_file_values():
@@ -58,9 +58,6 @@ def test_list_and_bool_parsing():
         ("alpha = 1.5\nn = 10\n", "no command"),
         ("command = sampel\nn = 10\n", "unknown command"),
         ("command = sample\nalpha 1.5\n", "expected 'key = value'"),
-        ("command = estimate\nalpha = 1.5\nn = 10\nformat = json\n", "unsupported"),
-        ("command = metastability\nminima = -1,2\nsaddles = 0\nalpha = 1\n"
-         "format = csv\n", "unsupported"),
         ("command = train\nmeasure_c_st = maybe\n", "expects bool"),
     ],
 )
@@ -213,7 +210,7 @@ def test_exit_time_records_file(tmp_path, monkeypatch):
     _, body = _read(tmp_path / "exit-time.csv")
     assert body[0].startswith("alpha,")
     _, records = _read(tmp_path / "records.csv")
-    assert records[0] == "replicate,exited,exit_step,exit_time,radius_a,margin_xi,diverged"
+    assert records[0] == "replicate,exited,exit_step,exit_time,radius_a,diverged"
     assert len(records) == 11
 
 

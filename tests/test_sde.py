@@ -93,12 +93,10 @@ def test_config_validation(bad):
         _cfg(**bad)
 
 
-@pytest.mark.parametrize("a, xi, name", [(1.0, float("nan"), "xi"), (float("nan"), 0.0, "a"),
-                                         (float("inf"), 0.0, "a"), (1.0, float("inf"), "xi")],
-                         ids=["xi-nan", "a-nan", "a-inf", "xi-inf"])
-def test_exit_ensemble_refuses_a_bad_radius_or_margin(a, xi, name):
-    with pytest.raises(ParameterError, match=f"{name} must"):
-        first_exit_ensemble(_cfg(), quadratic(1), 0.0, a, xi, RngStream(0), 2)
+@pytest.mark.parametrize("a", [float("nan"), float("inf")], ids=["a-nan", "a-inf"])
+def test_exit_ensemble_refuses_a_bad_radius(a):
+    with pytest.raises(ParameterError, match="a must"):
+        first_exit_ensemble(_cfg(), quadratic(1), 0.0, a, RngStream(0), 2)
 
 
 def test_noiseless_descent_is_geometric():
@@ -182,7 +180,7 @@ def test_divergence_marked_and_truncated():
 
 def test_stationary_start_never_exits():
     config = _cfg(epsilon=0.0, w0=(0.0,), max_steps=100)
-    rec = first_exit_ensemble(config, quadratic(1), 0.0, 1.0, 0.0, RngStream(97), 1)[0]
+    rec = first_exit_ensemble(config, quadratic(1), 0.0, 1.0, RngStream(97), 1)[0]
     assert not rec.exited
     assert rec.exit_step is None
     assert not rec.diverged
@@ -191,13 +189,13 @@ def test_stationary_start_never_exits():
 def test_start_outside_ball_rejected():
     config = _cfg(w0=(3.0,))
     with pytest.raises(ParameterError):
-        first_exit_ensemble(config, quadratic(1), 0.0, 1.0, 0.0, RngStream(0), 1)
+        first_exit_ensemble(config, quadratic(1), 0.0, 1.0, RngStream(0), 1)
 
 
 def test_exit_record_consistent_with_replayed_path():
     config = _cfg(eta=0.01, epsilon=0.3, alpha=1.5, w0=(0.0,), max_steps=2000)
     spec = quadratic(1)
-    records = first_exit_ensemble(config, spec, 0.0, 0.8, 0.0, RngStream(98), 6)
+    records = first_exit_ensemble(config, spec, 0.0, 0.8, RngStream(98), 6)
     replayed = 0
     for rec in records:
         if not rec.exited:
@@ -215,7 +213,7 @@ def test_exit_step_monotone_in_radius():
     spec = quadratic(1)
     by_radius = {}
     for a in (0.5, 1.0, 2.0):
-        by_radius[a] = first_exit_ensemble(config, spec, 0.0, a, 0.0, RngStream(99), 40)
+        by_radius[a] = first_exit_ensemble(config, spec, 0.0, a, RngStream(99), 40)
     for r in range(40):
         steps = []
         for a in (0.5, 1.0, 2.0):
@@ -227,8 +225,8 @@ def test_exit_step_monotone_in_radius():
 def test_linear_fast_path_matches_generic_scan(monkeypatch):
     config = _cfg(eta=0.003, epsilon=0.2, alpha=1.5, w0=(0.0,), max_steps=3000)
     spec = quadratic(1)
-    generic = first_exit_ensemble(config, _undeclared(spec), 0.0, 1.0, 0.0, RngStream(100), 20)
-    fast = _declared_fast(monkeypatch, config, spec, 0.0, 1.0, 0.0, RngStream(100), 20)
+    generic = first_exit_ensemble(config, _undeclared(spec), 0.0, 1.0, RngStream(100), 20)
+    fast = _declared_fast(monkeypatch, config, spec, 0.0, 1.0, RngStream(100), 20)
     assert _outcomes(generic) == _outcomes(fast)
 
 
@@ -238,8 +236,8 @@ def test_unstable_linear_drift_falls_back():
     stiff = ObjectiveSpec(dim=1, f=lambda w: 75.0 * w**2, grad=lambda w: 150.0 * w,
                           linear_drift=(150.0, 0.0))
     config = _cfg(eta=0.01, epsilon=0.3, w0=(0.0,), max_steps=1000)
-    recs = first_exit_ensemble(config, stiff, 0.0, 0.8, 0.0, RngStream(101), 4)
-    ref = first_exit_ensemble(config, _undeclared(stiff), 0.0, 0.8, 0.0, RngStream(101), 4)
+    recs = first_exit_ensemble(config, stiff, 0.0, 0.8, RngStream(101), 4)
+    ref = first_exit_ensemble(config, _undeclared(stiff), 0.0, 0.8, RngStream(101), 4)
     assert _outcomes(recs) == _outcomes(ref)
 
 
@@ -249,8 +247,8 @@ def test_linear_scan_stiff_rate_matches_generic(monkeypatch):
     stiff = ObjectiveSpec(dim=1, f=lambda w: 50.0 * w**2, grad=lambda w: 100.0 * w,
                           linear_drift=(100.0, 0.0))
     config = _cfg(eta=1e-3, epsilon=0.3, alpha=1.5, w0=(0.0,), max_steps=20_000)
-    fast = _declared_fast(monkeypatch, config, stiff, 0.0, 0.5, 0.0, RngStream(120), 50)
-    ref = first_exit_ensemble(config, _undeclared(stiff), 0.0, 0.5, 0.0, RngStream(120), 50)
+    fast = _declared_fast(monkeypatch, config, stiff, 0.0, 0.5, RngStream(120), 50)
+    ref = first_exit_ensemble(config, _undeclared(stiff), 0.0, 0.5, RngStream(120), 50)
     assert _outcomes(fast) == _outcomes(ref)
     assert not any(r.diverged for r in fast)
 
@@ -260,8 +258,8 @@ def test_linear_scan_shifted_center_matches_generic(monkeypatch):
     shifted = ObjectiveSpec(dim=1, f=lambda w: 0.5 * (w - 3.0) ** 2,
                             grad=lambda w: w - 3.0, linear_drift=(1.0, 3.0))
     config = _cfg(eta=1e-3, epsilon=0.1, alpha=1.5, w0=(3.0,), max_steps=20_000)
-    fast = _declared_fast(monkeypatch, config, shifted, 3.0, 1.0, 0.0, RngStream(120), 50)
-    ref = first_exit_ensemble(config, _undeclared(shifted), 3.0, 1.0, 0.0, RngStream(120), 50)
+    fast = _declared_fast(monkeypatch, config, shifted, 3.0, 1.0, RngStream(120), 50)
+    ref = first_exit_ensemble(config, _undeclared(shifted), 3.0, 1.0, RngStream(120), 50)
     assert _outcomes(fast) == _outcomes(ref)
     assert 0 < sum(r.exited for r in fast) < 50
 
@@ -275,10 +273,10 @@ def test_exit_record_independent_of_ensemble_size(declared, monkeypatch):
     runs = []
     for threads in (1, 2, 3):
         _threads(monkeypatch, threads)
-        full = first_exit_ensemble(config, spec, 0.0, 1.0, 0.0, RngStream(121), 64)
+        full = first_exit_ensemble(config, spec, 0.0, 1.0, RngStream(121), 64)
         assert 0 < sum(r.exited for r in full) < 64
         for r in (0, 1, 17, 63):
-            small = first_exit_ensemble(config, spec, 0.0, 1.0, 0.0, RngStream(121), r + 1)
+            small = first_exit_ensemble(config, spec, 0.0, 1.0, RngStream(121), r + 1)
             assert small[r] == full[r]
         runs.append(full)
     assert runs[0] == runs[1] == runs[2]
@@ -305,7 +303,7 @@ def test_exit_records_at_tile_edges_equal_lone_runs(monkeypatch, threads):
     # and the tiles run on the pool whenever two CPUs are usable
     config = _cfg(eta=0.01, epsilon=0.1, alpha=1.5, w0=(0.0,), max_steps=6000)
     spec, rng = quadratic(1), RngStream(123)
-    alone = [dataclasses.replace(first_exit_ensemble(config, spec, 0.0, 1.0, 0.0,
+    alone = [dataclasses.replace(first_exit_ensemble(config, spec, 0.0, 1.0,
                                                      _Alone(rng, r), 1)[0], replicate=r)
              for r in range(65)]
     assert 0 < sum(r.exited for r in alone) < 65
@@ -320,7 +318,7 @@ def test_exit_records_at_tile_edges_equal_lone_runs(monkeypatch, threads):
     monkeypatch.setattr(sde, "noise_increments", spy)
     for n in (2, 31, 32, 33, 65):
         on_main.clear()
-        assert first_exit_ensemble(config, spec, 0.0, 1.0, 0.0, rng, n) == alone[:n]
+        assert first_exit_ensemble(config, spec, 0.0, 1.0, rng, n) == alone[:n]
         assert on_main == {threads == 1}
 
 
@@ -345,7 +343,7 @@ def test_linear_scan_outcomes_independent_of_tile_size_and_threads(monkeypatch):
         for threads in (1, 2, 3):
             _threads(monkeypatch, threads)
             active.clear()
-            records = first_exit_ensemble(exit_config, _slow_drift(), 0.0, 0.6, 0.0,
+            records = first_exit_ensemble(exit_config, _slow_drift(), 0.0, 0.6,
                                           RngStream(127), 40)
             assert 0 < active[max(active)] < 3
             runs.append((records, occupancy_ensemble(occ_config, quadratic(1),
@@ -487,7 +485,7 @@ def test_tile_task_error_surfaces_and_threads_stop(monkeypatch):
     monkeypatch.setattr(sde, "noise_increments", failing)
     before = threading.active_count()
     with pytest.raises(ParameterError) as err:
-        first_exit_ensemble(_cfg(max_steps=2000), quadratic(1), 0.0, 1.0, 0.0, rng, 65)
+        first_exit_ensemble(_cfg(max_steps=2000), quadratic(1), 0.0, 1.0, rng, 65)
     assert err.value is boom
     assert threading.active_count() == before
 
@@ -499,7 +497,7 @@ def test_threaded_diverging_ensemble_warns_nothing(monkeypatch):
     config = SdeConfig(eta=0.01, epsilon=1e294, alpha=0.8, w0=(0.0,), max_steps=6000)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        records = first_exit_ensemble(config, quadratic(1), 0.0, 1e300, 0.0,
+        records = first_exit_ensemble(config, quadratic(1), 0.0, 1e300,
                                       RngStream(131), 65)
     assert any(r.diverged for r in records)
 
@@ -535,9 +533,9 @@ def test_multichunk_exit_records_equal_a_per_step_loop(declared, monkeypatch):
     rng = RngStream(150)
     loop = _per_step_exits(config, slow, rng, 16, 0.5)
     if declared:
-        records = _declared_fast(monkeypatch, config, slow, 0.0, 0.5, 0.0, rng, 16)
+        records = _declared_fast(monkeypatch, config, slow, 0.0, 0.5, rng, 16)
     else:
-        records = first_exit_ensemble(config, _undeclared(slow), 0.0, 0.5, 0.0, rng, 16)
+        records = first_exit_ensemble(config, _undeclared(slow), 0.0, 0.5, rng, 16)
     assert _outcomes(records) == loop
     chunk = sde._chunk_len(config.eta, config.max_steps)
     assert {s // chunk for _, s, _ in loop if s is not None} >= {1, 2}
@@ -565,7 +563,7 @@ def test_pooled_generic_exit_records_equal_lone_runs(monkeypatch):
     # there are two threads or more and more than one lane
     config = SdeConfig(eta=0.01, epsilon=0.3, alpha=1.2, w0=(-1.0,), max_steps=7000)
     spec, rng = double_well(-1.0, 2.0), RngStream(143)
-    alone = [dataclasses.replace(first_exit_ensemble(config, spec, -1.0, 10.0, 0.0,
+    alone = [dataclasses.replace(first_exit_ensemble(config, spec, -1.0, 10.0,
                                                      _Alone(rng, r), 1)[0], replicate=r)
              for r in range(33)]
     assert 0 < sum(r.exited for r in alone) < 33
@@ -581,7 +579,7 @@ def test_pooled_generic_exit_records_equal_lone_runs(monkeypatch):
         _threads(monkeypatch, threads)
         for n in (1, 2, 3, 24, 33):
             on_main.clear()
-            assert first_exit_ensemble(config, spec, -1.0, 10.0, 0.0, rng, n) == alone[:n]
+            assert first_exit_ensemble(config, spec, -1.0, 10.0, rng, n) == alone[:n]
             assert on_main == {threads == 1 or n == 1}
 
 
@@ -615,7 +613,7 @@ def test_pooled_fill_error_surfaces_and_threads_stop(monkeypatch, threads):
     before = threading.active_count()
     with pytest.raises(ParameterError) as err:
         first_exit_ensemble(_cfg(w0=(-1.0,), max_steps=2000), double_well(-1.0, 2.0),
-                            -1.0, 1.0, 0.0, rng, 24)
+                            -1.0, 1.0, rng, 24)
     assert err.value is boom
     assert threading.active_count() == before
 
@@ -627,7 +625,7 @@ def test_pooled_fill_of_diverging_ensemble_warns_nothing(monkeypatch):
     config = SdeConfig(eta=0.01, epsilon=1e306, alpha=0.8, w0=(-1.0,), max_steps=6000)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        records = first_exit_ensemble(config, double_well(-1.0, 2.0), -1.0, 1e308, 0.0,
+        records = first_exit_ensemble(config, double_well(-1.0, 2.0), -1.0, 1e308,
                                       RngStream(131), 24)
     assert any(r.diverged for r in records)
 
@@ -637,7 +635,7 @@ def test_diverged_lane_not_counted_as_exit():
     # hit non-finite values while still inside and others leave first
     config = SdeConfig(eta=0.4, epsilon=5.0, alpha=1.2, w0=(-1.0,), max_steps=800)
     spec = double_well(-1.0, 2.0)
-    records = first_exit_ensemble(config, spec, -1.0, 1e200, 0.0, RngStream(102), 30)
+    records = first_exit_ensemble(config, spec, -1.0, 1e200, RngStream(102), 30)
     n_div = sum(r.diverged for r in records)
     n_exit = sum(r.exited for r in records)
     assert n_div > 0 and n_exit > 0

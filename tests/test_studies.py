@@ -70,19 +70,6 @@ def test_exit_time_law_counts_every_axis(dim):
     assert study.ks_distance < 0.08
 
 
-def test_exit_time_study_predicts_at_the_simulated_radius():
-    # the ensemble stops at a + xi, so the law and the step cap take that radius
-    kw = dict(spec=quadratic(1), center=0.0, alpha=1.5, epsilon=0.05, eta=1e-2, n_replicates=40)
-    margin = exit_time_study(a=0.5, xi=0.5, rng=RngStream(291), **kw)
-    plain = exit_time_study(a=1.0, rng=RngStream(291), **kw)
-    assert margin.predicted_mean == plain.predicted_mean == expected_exit_time(1.0, 0.05, 1.5)
-    assert margin.ks_distance == plain.ks_distance
-    assert [r.exit_step for r in margin.records] == [r.exit_step for r in plain.records]
-    assert margin.radius_a == 0.5
-    with pytest.raises(ParameterError, match="margin xi"):
-        exit_time_study(a=1.0, xi=-0.5, rng=RngStream(291), **kw)
-
-
 def test_exit_time_study_refuses_gaussian_noise():
     # at alpha 2 the cf scaling would simulate Brownian noise against a Levy law
     with pytest.raises(ParameterError, match="alpha"):
