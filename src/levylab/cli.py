@@ -68,7 +68,9 @@ OUT_DIR_ENV = "LEVYLAB_OUT"
 
 _REQUIRED = object()
 _NON_NEGATIVE = (lambda v: not np.signbit(v), "must be >= 0")  # -0.0 would pass as unset
-_TWO_DISTINCT = (lambda v: len(set(v)) >= 2, "needs two or more distinct K values to fit a slope")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_KS = (lambda v: len(set(v)) >= 2 and min(v) >= 1,
+       "needs two or more distinct K values, each >= 1, to fit a slope")
 
 # key -> (kind, default) or (kind, default, (test, wording)); kinds: int float
 # str bool list_int list_float, or a tuple of the only strings an enumerated key
@@ -146,8 +148,8 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "scale": ("float", 1.0),
         "d": ("int", 10),
         "w0_scale": ("float", 4.0),
-        "ks": ("list_int", (100, 1000, 10000), _TWO_DISTINCT),
-        "reps": ("int", 100),
+        "ks": ("list_int", (100, 1000, 10000), _KS),
+        "reps": ("int", 100, _AT_LEAST_ONE),
         "m_const": ("float", 1.0),
         "sigma_gamma": ("float", 0.0, _NON_NEGATIVE),
         "c": ("float", 0.0, _NON_NEGATIVE),
@@ -160,7 +162,7 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         **_DATA,
         "n": ("int", 8000),
         "width": ("int", 128),
-        "depth": ("int", 3, (lambda v: v >= 1, "must be >= 1")),
+        "depth": ("int", 3, _AT_LEAST_ONE),
         "b": ("int", 100),
         "eta": ("float", 0.1),
         "iters": ("int", 1000),
