@@ -8,8 +8,8 @@ quadratic exit-time run splits into two lane tiles of unequal size (17 and
 33-replicate double-well run takes the per-step scan over two
 chunks, with its noise fill split into shares of an odd number of lanes.
 The `exit-brownian` run adds a Brownian part to the stable noise, so each
-lane draws its normals after its stable block.  The `converge-blocks` run draws its noise in blocks of 8 steps, the last
-block of each K ragged.  Every listed value of every enumerated key runs at
+lane draws its normals after its stable block.  The `converge-blocks` run
+draws its noise in blocks of 8 steps, the last block of each K ragged.  Every listed value of every enumerated key runs at
 least once, except `--source mnist`, which needs IDX files.  The other
 `train` runs use width 8; `train-wide.csv` runs the benchmark's width 128,
 where BLAS may take other kernels for the layer products.

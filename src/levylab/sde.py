@@ -408,7 +408,8 @@ def first_exit_ensemble(
         raise ParameterError(f"center dim {c.size} != config dim {config.dim}")
     start_dist = float(np.sqrt(np.sum((np.asarray(config.w0) - c) ** 2)))
     if start_dist > a:
-        raise ParameterError(f"w0 lies outside the exit ball: |w0 - center| = {start_dist} > a = {a}")
+        raise ParameterError(
+            f"w0 lies outside the exit ball: |w0 - center| = {start_dist} > a = {a}")
 
     hit_step, _, diverged = _first_passage(
         config, spec, rng, n_replicates, lambda W: _outside_ball(W, c, a)

@@ -138,8 +138,9 @@ def exit_time_study(
     """Measure first-exit times from radius a around a minimum.
 
     Paths start at the center.  The prediction, the KS rate and the time cap
-    are taken at radius a and at the objective's dimension.  The time cap is time_cap_factor times the predicted mean, so
-    the censored fraction is about exp(-time_cap_factor) when the law holds.
+    are taken at radius a and at the objective's dimension.  The time cap is
+    time_cap_factor times the predicted mean, so the censored fraction is
+    about exp(-time_cap_factor) when the law holds.
     Divergent replicates are excluded from the mean and KS statistics and
     counted separately.
     """

@@ -414,7 +414,6 @@ _BAD_INPUTS = [
     ("train", "inject_alpha", "-1", "ConfigError", "train: key 'inject_alpha' must be >= 0"),
     ("estimate", "k1", "-5", "ConfigError", "estimate: key 'k1' must be >= 0, got -5"),
     ("stability", "alpha", "-1", "ConfigError", "stability: key 'alpha' must be >= 0"),
-    # a K or a replicate count below 1 is refused before sigma_gamma is estimated
     ("converge", "ks", "20,-40", "ConfigError",
      "converge: key 'ks' needs two or more distinct K values, each >= 1, to fit a slope"),
     ("converge", "reps", "0", "ConfigError", "converge: key 'reps' must be >= 1, got 0"),
@@ -518,28 +517,15 @@ def test_converge_needs_two_ks_before_any_chain(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "estimate_sigma_gamma", no_chain)
     monkeypatch.setattr(cli, "run_convergence", no_chain)
     monkeypatch.setenv("LEVYLAB_OUT", str(tmp_path))
-    for argv in (["--ks", "20000", "--reps", "50"],
-                 ["--d", "2", "--ks", "20,20", "--reps", "3", "--sigma_samples", "500"]):
-        assert main(["converge", *argv]) == 2
-        assert "'ks'" in json.loads(capsys.readouterr().err)["message"]
+    # a K or a replicate count below 1 is refused before sigma_gamma is estimated
+    for argv, key in (("--ks 20000 --reps 50", "ks"),
+                      ("--d 2 --ks 20,20 --reps 3 --sigma_samples 500", "ks"),
+                      ("--d 200 --ks 20,-40 --sigma_samples 200000", "ks"),
+                      ("--ks 0,40", "ks"),
+                      ("--reps 0", "reps")):
+        assert main(["converge", *argv.split()]) == 2
+        assert f"'{key}'" in json.loads(capsys.readouterr().err)["message"]
         assert not list(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("key, value", [("ks", "20,-40"), ("ks", "0,40"), ("reps", "0")])
-def test_converge_refuses_a_k_or_reps_below_one_before_estimating(tmp_path, monkeypatch,
-                                                                  capsys, key, value):
-    import levylab.cli as cli
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("sigma_gamma was estimated before ks and reps were checked")
-
-    monkeypatch.setattr(cli, "estimate_sigma_gamma", unreachable)
-    monkeypatch.setenv("LEVYLAB_OUT", str(tmp_path))
-    flags = {**_BAD_INPUT_BASES["converge"], "sigma_samples": "200000", key: value}
-    assert main(["converge", *(t for k, v in flags.items() for t in (f"--{k}", v))]) == 2
-    record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "ConfigError" and f"key '{key}'" in record["message"]
-    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
