@@ -13,10 +13,13 @@ optimized by eta = c_gamma / K^(1/(1+gamma)).  The expectation is proxied
 by the replicate average; with stable noise that average is itself heavy
 tailed, so replicate counts buy less than they would under a Gaussian.
 
-A sweep draws its noise in blocks of NOISE_BLOCK variates' worth of steps.
-Each K takes its uniforms (or Gaussian normals) from one substream and its
-exponentials from another, so a block of any length equals that many
-per-step draws bit for bit; the gradient loop stays per step.
+A sweep draws its noise in blocks of ``stable.NOISE_BLOCK`` variates' worth
+of steps.  Each K takes its uniforms (or Gaussian normals) from one substream
+and its exponentials from another, so a block of any length equals that many
+per-step draws bit for bit; the gradient loop stays per step.  The squared
+gradient norms fill a buffer of about NOISE_BLOCK values that is reduced
+each time it fills, so a sweep's memory does not grow with K.  The sigma_gamma
+estimate draws its samples in blocks too and keeps only their norms.
 """
 
 from __future__ import annotations
@@ -26,17 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import stable
 from .csvfmt import CsvRecord
 from .errors import ParameterError
 from .objectives import ObjectiveSpec
 from .rng import RngStream
-from .stable import sample_standard_sas
+from .stable import draw_blocks, sample_standard_sas
 
 DEFAULT_GAMMA_SAFETY = 0.8
-
-# Variates per pre-drawn noise block of a sweep: enough steps to spread the
-# sampler's per-call cost, few enough that its temporaries stay in cache.
-NOISE_BLOCK = 2**13
 
 
 def default_gamma(alpha: float) -> float:
@@ -178,7 +178,9 @@ def estimate_sigma_gamma(
     """Monte Carlo estimate of (E|grad f(w0) + U|^(1+gamma))^(1/(1+gamma)).
 
     The bound only needs an upper moment at the start point; for injected
-    noise there is no closed form on a general objective.
+    noise there is no closed form on a general objective.  The samples are
+    those of one ``noise.sample((n_samples, d), gen, gen)`` call, drawn in
+    blocks of rows (see ``stable.draw_blocks``); only their norms are kept.
     """
     if not (0.0 < gamma <= 1.0):
         raise ParameterError(f"gamma must lie in (0, 1], got {gamma}")
@@ -186,10 +188,11 @@ def estimate_sigma_gamma(
         raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
     w0 = np.atleast_1d(np.asarray(w0, dtype=float))
     g0 = np.atleast_1d(np.asarray(spec.grad(w0), dtype=float))
-    gen = rng.generator()
-    u = noise.sample((n_samples, w0.size), gen, gen)
-    norms = np.sqrt(np.sum((g0[None, :] + u) ** 2, axis=1))
-    return float(np.mean(norms ** (1.0 + gamma)) ** (1.0 / (1.0 + gamma)))
+    norms = np.empty(n_samples)
+    for start, u in draw_blocks(noise.sample, n_samples, (w0.size,), rng.generator()):
+        norms[start:start + len(u)] = np.sqrt(np.sum((g0 + u) ** 2, axis=1))
+    norms **= 1.0 + gamma
+    return float(np.mean(norms) ** (1.0 / (1.0 + gamma)))
 
 
 def run_convergence(
@@ -203,46 +206,56 @@ def run_convergence(
 
     For each K, runs ``replicates`` chains with eta = config.eta_for(K) and
     records the minimum over k of the replicate-averaged squared gradient
-    norm, its standard error at the argmin, the guaranteed bound, and the
-    fraction of replicates that left float range (those are excluded from
-    the statistics, never merged in).
+    norm (the first minimum on ties), its standard error at the argmin, the
+    guaranteed bound, and the fraction of replicates that left float range
+    (those are excluded from the statistics, never merged in).  A step at
+    which every replicate has left float range raises when the buffer that
+    holds it is reduced, at most NOISE_BLOCK // replicates steps later.
     """
     w0 = np.atleast_1d(np.asarray(w0, dtype=float))
     if w0.size != spec.dim:
         raise ParameterError(f"w0 dim {w0.size} != objective dim {spec.dim}")
     R = config.replicates
-    steps = max(1, NOISE_BLOCK // (R * w0.size))
+    steps = max(1, stable.NOISE_BLOCK // (R * w0.size))
+    grad_sq = np.empty((max(1, stable.NOISE_BLOCK // R), R))  # reduced each time it fills
     rows = []
     for i, K in enumerate(config.ks):
         eta = config.eta_for(K)
         gen, exp_gen = rng.substream(i).generator(), rng.substream(i, 1).generator()
         W = np.tile(w0, (R, 1))
-        grad_sq = np.full((K, R), np.nan)
+        best_mean, best_vals = None, None
         with np.errstate(all="ignore"):
             for k in range(K):
                 if k % steps == 0:
                     U = noise.sample((min(steps, K - k), R, w0.size), gen, exp_gen)
                 G = spec.grad(W)
-                grad_sq[k] = np.sum(G * G, axis=1)
+                j = k % len(grad_sq)
+                grad_sq[j] = np.sum(G * G, axis=1)
                 W = W - eta * (G + U[k % steps])
-        # a lane is excluded from the step where it first went non-finite
-        finite = np.isfinite(grad_sq)
-        alive_counts = finite.sum(axis=1)
-        if np.any(alive_counts == 0):
-            raise ParameterError(f"all replicates diverged at K={K}; shrink eta or scale")
-        np.copyto(grad_sq, 0.0, where=~finite)  # only finite entries are read below
-        means = grad_sq.sum(axis=1) / alive_counts
-        k_star = int(np.argmin(means))
-        vals = grad_sq[k_star][finite[k_star]]
-        stderr = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
-        diverged = float(1.0 - finite[-1].sum() / R)
+                if j + 1 < len(grad_sq) and k + 1 < K:
+                    continue
+                # the buffer is full or K is done: a lane is excluded from
+                # the step where it first went non-finite
+                filled = grad_sq[:j + 1]
+                finite = np.isfinite(filled)
+                alive = finite.sum(axis=1)
+                if not alive.all():
+                    raise ParameterError(f"all replicates diverged at K={K}; shrink eta or scale")
+                np.copyto(filled, 0.0, where=~finite)  # only finite entries are read below
+                means = filled.sum(axis=1) / alive
+                m = int(np.argmin(means))
+                if best_mean is None or means[m] < best_mean:
+                    best_mean, best_vals = means[m], filled[m][finite[m]]
+        stderr = (float(best_vals.std(ddof=1) / np.sqrt(best_vals.size))
+                  if best_vals.size > 1 else 0.0)
+        diverged = float(1.0 - alive[-1] / R)
         rows.append(
             ConvergenceRow(
                 K=K,
                 eta=eta,
                 gamma=config.gamma,
                 alpha=noise.alpha,
-                min_grad_sq_mean=float(means[k_star]),
+                min_grad_sq_mean=float(best_mean),
                 min_grad_sq_stderr=stderr,
                 bound=constant_step_bound(
                     K, eta, config.gamma, config.sigma_gamma, config.M, config.gap

@@ -11,17 +11,29 @@ transform of a uniform angle and a unit exponential; no tail truncation or
 clipping is applied anywhere.  Increments of the driving Levy motion over a
 step eta are these scale-1 draws times eta**(1/alpha); ``sde.noise_increments``
 is the one place that applies that scaling.
+
+A large one-generator draw is made in blocks of NOISE_BLOCK variates
+(``draw_blocks``): the exponentials come from ``advanced(gen, n)``, a copy
+of the generator that starts where the n uniforms end, so the blocks give
+the one-shot draw's bytes while the temporaries stay one block in size.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ParameterError
 from .rng import RngStream
+
+# Variates per block of a large draw: enough to spread the sampler's per-call
+# cost, few enough that its temporaries stay in cache and below glibc's mmap
+# threshold.
+NOISE_BLOCK = 2**13
 
 
 @dataclass(frozen=True)
@@ -56,7 +68,7 @@ def sample_standard_sas(alpha: float, size, gen: np.random.Generator,
     draws of one kind concatenate across calls, so with two generators a
     draw whose leading axis counts steps equals that many per-step draws,
     bit for bit.  One generator passed as both draws all the uniforms, then
-    all the exponentials.
+    all the exponentials; ``draw_blocks`` splits such a draw into blocks.
     """
     if not (0.0 < alpha <= 2.0):
         raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
@@ -74,12 +86,49 @@ def sample_standard_sas(alpha: float, size, gen: np.random.Generator,
     )
 
 
+def advanced(gen: np.random.Generator, n: int) -> np.random.Generator:
+    """A copy of PCG64 generator ``gen`` positioned ``n`` uniform doubles on.
+
+    ``Generator.random`` takes one 64-bit output per double, so the copy
+    starts where ``gen.random(n)`` would leave ``gen``.  A one-generator draw
+    ``sample_standard_sas(alpha, (N, ...), gen, gen)`` of n variates then
+    equals, bit for bit, its consecutive leading-axis blocks drawn from
+    ``(gen, advanced(gen, n))``, and the copy ends where the one-shot draw
+    leaves ``gen``.  At alpha = 2 and for Gaussian noise the blocks draw from
+    ``gen`` alone, which then ends there itself.
+    """
+    bit_gen = copy.deepcopy(gen.bit_generator)
+    bit_gen.advance(n)
+    return np.random.Generator(bit_gen)
+
+
+def draw_blocks(sample, n: int, row_shape: tuple[int, ...], gen: np.random.Generator):
+    """Yield ``(start, rows)`` blocks that together make ``sample((n, *row_shape), gen, gen)``.
+
+    ``sample(shape, gen, exp_gen)`` draws as ``sample_standard_sas`` does.
+    Each block holds NOISE_BLOCK variates' worth of rows (at least one) and
+    starts at row ``start``; the exponentials come from ``advanced``.
+    """
+    row_size = math.prod(row_shape)
+    exp_gen = advanced(gen, n * row_size)
+    step = max(1, NOISE_BLOCK // row_size)
+    for start in range(0, n, step):
+        yield start, sample((min(step, n - start), *row_shape), gen, exp_gen)
+
+
 def sample_sas(params: StableParams, n: int, rng: RngStream) -> np.ndarray:
-    """Draw ``n`` independent SaS(alpha, sigma) variates."""
+    """Draw ``n`` independent SaS(alpha, sigma) variates.
+
+    The bytes are those of one ``sample_standard_sas(alpha, n, gen, gen)``
+    call times sigma, drawn in blocks into the output.
+    """
     if n < 0:
         raise ParameterError(f"n must be nonnegative, got {n}")
-    gen = rng.generator()
-    return params.sigma * sample_standard_sas(params.alpha, n, gen, gen)
+    out = np.empty(n)
+    draw = partial(sample_standard_sas, params.alpha)
+    for start, block in draw_blocks(draw, n, (), rng.generator()):
+        np.multiply(params.sigma, block, out=out[start:start + block.size])
+    return out
 
 
 def unit_jump_scale(alpha: float) -> float:

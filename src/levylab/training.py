@@ -31,6 +31,7 @@ from .mlp import MlpModel, accuracy, forward_backward, hit_rate, init_mlp
 from .parallel import run_tasks, task_pool
 from .rng import RngStream
 from .stability import stability_condition
+from .stable import draw_blocks
 from .tail_index import TailEstimate, choose_block_size, estimate_alpha
 
 
@@ -149,8 +150,11 @@ def train_with_tail_logging(
                 model, data.train_x, data.train_y, loss_kind
             )
             train_acc = hit_rate(logits, data.train_y)
+            deviations = np.empty((data.n_train // b, g_full.size))
+            flat = deviations.reshape(-1)  # one draw of the whole pool, made in blocks
             gen = log_stream.substream(k, 0).generator()
-            deviations = injection.sample((data.n_train // b, g_full.size), gen, gen)
+            for start, block in draw_blocks(injection.sample, flat.size, (), gen):
+                flat[start:start + block.size] = block
             deviations += g_full  # injected gradients, rounded like minibatch ones
         deviations -= g_full
         test_acc = accuracy(model, data.test_x, data.test_y)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from levylab import convergence
+from levylab import stable
 from levylab.convergence import (
     ConvergenceConfig,
     GradientNoise,
@@ -179,34 +180,107 @@ def test_noise_block_equals_per_step_draws(kind, alpha):
 
 @pytest.mark.parametrize("block", [1, 3000])
 def test_blocked_sweep_equals_per_step_draws(monkeypatch, block):
-    # 100 replicates in d 10 draw 8-step blocks; K = 70 ends on a 6-step
-    # block.  Against them, a block of one step per draw is the per-step
-    # reference, and 3-step blocks end K = 70 and K = 200 on ragged blocks
-    # of their own.  The noise is mild enough that each minimum comes after
-    # the start, where the noise has acted.
+    # 100 replicates in d 10 draw 8-step blocks and reduce 81-step buffers;
+    # K = 70 ends on a 6-step block inside the first buffer.  Against them,
+    # a block of one step per draw is the per-step reference, and 3-step
+    # blocks with 30-step buffers end K = 70 and K = 200 on ragged blocks
+    # and buffers of their own.  The noise is mild enough that each minimum
+    # comes after the start, where the noise has acted.
     spec, noise, w0 = quadratic(10), GradientNoise("sas", 1.5, 0.5), np.full(10, 4.0 / np.sqrt(10))
     cfg = ConvergenceConfig(gamma=0.4, sigma_gamma=5.0, M=1.0, gap=float(spec.f(w0)),
                             ks=(70, 200), replicates=100)
     blocked = run_convergence(spec, noise, cfg, w0, RngStream(88))
     assert all(r.min_grad_sq_mean < np.sum(spec.grad(w0) ** 2) for r in blocked)
-    monkeypatch.setattr(convergence, "NOISE_BLOCK", block)
+    monkeypatch.setattr(stable, "NOISE_BLOCK", block)
     assert run_convergence(spec, noise, cfg, w0, RngStream(88)) == blocked
 
 
-def test_convergence_peak_memory_stays_near_one_block():
-    # the (K, R) squared-gradient block is the one block-sized array; the
-    # statistics zero its non-finite entries in place
-    K, R = 20_000, 50
+def _whole_run_statistics(spec, noise, w0, R, K, eta, rng):
+    """The sweep's statistics for one K from the whole (K, R) array, one draw per step."""
+    gen, exp_gen = rng.generator(), rng.substream(1).generator()
+    W, grad_sq = np.tile(w0, (R, 1)), np.empty((K, R))
+    with np.errstate(all="ignore"):
+        for k in range(K):
+            G = spec.grad(W)
+            grad_sq[k] = np.sum(G * G, axis=1)
+            W = W - eta * (G + noise.sample((R, w0.size), gen, exp_gen))
+    finite = np.isfinite(grad_sq)
+    means = np.where(finite, grad_sq, 0.0).sum(axis=1) / finite.sum(axis=1)
+    k_star = int(np.argmin(means))
+    vals = grad_sq[k_star][finite[k_star]]
+    return means[k_star], vals.std(ddof=1) / np.sqrt(vals.size), 1.0 - finite[-1].sum() / R
+
+
+def test_buffered_statistics_equal_the_whole_run_with_diverging_lanes():
+    # a lane whose coordinate passes 2 gets an infinite gradient and stays
+    # non-finite, so lanes drop out across the 81-step buffers
+    base = quadratic(2)
+    spec = dataclasses.replace(base, linear_drift=None,
+                               grad=lambda W: np.where(np.abs(W) > 2.0, np.inf, W))
+    noise, w0, R = GradientNoise("sas", 1.2, 0.3), np.full(2, 1.0), 100
+    cfg = ConvergenceConfig(gamma=0.1, sigma_gamma=1.0, M=1.0, gap=1.0, ks=(250, 40),
+                            replicates=R, eta=0.2)
+    rows = run_convergence(spec, noise, cfg, w0, RngStream(89))
+    for i, row in enumerate(rows):
+        mean, stderr, diverged = _whole_run_statistics(spec, noise, w0, R, row.K, 0.2,
+                                                       RngStream(89).substream(i))
+        assert (row.min_grad_sq_mean, row.min_grad_sq_stderr, row.diverged_fraction) == \
+            (mean, stderr, diverged)
+    assert 0.0 < rows[0].diverged_fraction < 1.0
+
+
+def test_sweep_refuses_a_run_whose_replicates_all_diverge():
+    spec, noise, w0 = quadratic(2), GradientNoise("gaussian", 2.0, 1.0), np.full(2, 1.0)
+    cfg = ConvergenceConfig(gamma=0.4, sigma_gamma=1.0, M=1.0, gap=1.0, ks=(2000,),
+                            replicates=5, eta=3.0)  # |1 - eta| = 2 overflows in ~1030 steps
+    with pytest.raises(ParameterError, match="all replicates diverged at K=2000"):
+        run_convergence(spec, noise, cfg, w0, RngStream(90))
+
+
+def _convergence_peak(K, R=50):
     spec, noise, w0 = quadratic(2), GradientNoise("sas", 1.5, 1.0), np.full(2, 1.0)
     cfg = ConvergenceConfig(gamma=0.4, sigma_gamma=2.0, M=1.0, gap=float(spec.f(w0)),
                             ks=(K,), replicates=R)
     tracemalloc.start()
     try:
         run_convergence(spec, noise, cfg, w0, RngStream(289))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_convergence_peak_memory_stays_near_one_block():
+    # the squared norms fill one buffer of about NOISE_BLOCK values, reduced
+    # each time it fills, so the peak does not grow with K
+    K, R = 20_000, 50
+    peak = _convergence_peak(K, R)
+    assert peak < 1.6 * K * R * 8
+    assert peak < 1.5 * _convergence_peak(K // 10, R)
+
+
+def test_sigma_gamma_estimate_equals_one_shot_draw():
+    spec = quadratic(10)
+    w0 = np.full(10, 1.0)
+    for noise in (GradientNoise("sas", 1.0, 2.0), GradientNoise("gaussian", 2.0, 2.0)):
+        for n in (1, 819, 2000):  # 819 rows make one block; 2000 ends on 362
+            gen = RngStream(91).generator()
+            u = noise.sample((n, 10), gen, gen)
+            norms = np.sqrt(np.sum((spec.grad(w0)[None, :] + u) ** 2, axis=1))
+            reference = float(np.mean(norms**1.4) ** (1.0 / 1.4))
+            assert estimate_sigma_gamma(spec, noise, w0, 0.4, RngStream(91), n) == reference
+
+
+def test_sigma_gamma_estimate_peak_memory_is_its_norms():
+    n = 100_000
+    tracemalloc.start()
+    try:
+        estimate_sigma_gamma(quadratic(10), GradientNoise("sas", 1.5, 4.0), np.full(10, 1.0),
+                             0.4, RngStream(92), n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.6 * K * R * 8
+    # measured: 8 B per sample plus about 7 block-sized temporaries
+    assert peak < 8 * n + 12 * 8 * stable.NOISE_BLOCK
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

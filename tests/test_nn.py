@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from levylab import parallel, training
+from levylab import parallel, stable, training
 from levylab.convergence import GradientNoise
 from levylab.datasets import synthetic_blobs
 from levylab.errors import ParameterError, ShapeError
@@ -312,6 +312,25 @@ def test_injection_recovers_planted_alpha():
     )
     assert len(rows) == 1
     assert rows[0].alpha_whole == pytest.approx(1.3, abs=0.1)
+
+
+def test_injected_pool_is_one_draw_made_in_blocks(monkeypatch):
+    # the pool is one (n_train // b, P) = (10, 98) draw from one generator,
+    # in blocks of any size; 100-variate blocks end on 80
+    data = synthetic_blobs(120, 5, 2, 1.0, RngStream(162))
+    injection = GradientNoise("sas", 1.3, 2.0)
+    model = init_mlp((5, 12, 2), RngStream(163))
+    _, g_full, _ = forward_backward(model, data.train_x, data.train_y, "nll")
+    gen = RngStream(164).substream(1).substream(0, 0).generator()
+    reference = injection.sample((10, g_full.size), gen, gen) + g_full - g_full
+    pools = []
+    monkeypatch.setattr(training, "layerwise_alpha",
+                        lambda dev, model: pools.append(dev.copy()) or layerwise_alpha(dev, model))
+    for block in (stable.NOISE_BLOCK, 100, 7):
+        monkeypatch.setattr(stable, "NOISE_BLOCK", block)
+        train_with_tail_logging(init_mlp((5, 12, 2), RngStream(163)), data, 12, 0.05, 1, "nll",
+                                RngStream(164), injection=injection)
+    assert [pool.tobytes() for pool in pools] == [reference.tobytes()] * 3
 
 
 def test_training_rows_are_deterministic():

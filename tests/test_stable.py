@@ -1,12 +1,23 @@
 import copy
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
+from levylab.convergence import GradientNoise
 from levylab.errors import ParameterError
 from levylab.rng import RngStream
-from levylab.stable import StableParams, sample_sas, sample_standard_sas, unit_jump_scale
+from levylab.stable import (
+    NOISE_BLOCK,
+    StableParams,
+    advanced,
+    draw_blocks,
+    sample_sas,
+    sample_standard_sas,
+    unit_jump_scale,
+)
 
 
 def char_fn(params, omega):
@@ -103,3 +114,54 @@ def test_one_generator_draws_all_uniforms_then_all_exponentials(alpha):
     draws = sample_standard_sas(alpha, size, gen, gen)
     assert np.array_equal(draws, sample_standard_sas(alpha, size, u_gen, w_gen))
     assert gen.bit_generator.state == w_gen.bit_generator.state
+
+
+_BLOCK_DRAWS = {
+    **{f"sas-{a}": partial(sample_standard_sas, a) for a in (0.8, 1.0, 1.5, 2.0)},
+    "gaussian": GradientNoise("gaussian", 2.0, 3.0).sample,
+}
+
+
+@pytest.mark.parametrize("name", list(_BLOCK_DRAWS))
+@pytest.mark.parametrize("row_shape, totals", [
+    ((), (0, 5000, NOISE_BLOCK, 2 * NOISE_BLOCK + 1617)),
+    ((10,), (0, 500, NOISE_BLOCK // 10, 2000)),  # 819 rows a block; 2000 ends on 362
+])
+def test_blocked_draw_equals_one_shot_draw(name, row_shape, totals):
+    draw, per_row = _BLOCK_DRAWS[name], math.prod(row_shape)
+    rows = max(1, NOISE_BLOCK // per_row)
+    for n in totals:
+        one = np.random.default_rng(34)
+        gen = copy.deepcopy(one)
+        reference = draw((n, *row_shape), one, one)
+        exp_gen = advanced(gen, n * per_row)
+        blocks = [draw((min(rows, n - s), *row_shape), gen, exp_gen) for s in range(0, n, rows)]
+        assert np.concatenate([reference[:0], *blocks]).tobytes() == reference.tobytes()
+        # the SaS exponentials end the draw; normals come from gen alone
+        end = gen if name in ("sas-2.0", "gaussian") else exp_gen
+        assert end.bit_generator.state == one.bit_generator.state
+        pairs = list(draw_blocks(draw, n, row_shape, np.random.default_rng(34)))
+        assert [start for start, _ in pairs] == list(range(0, n, rows))
+        blocks = [block for _, block in pairs]
+        assert np.concatenate([reference[:0], *blocks]).tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5, 2.0])
+def test_sample_sas_equals_one_shot_draw(alpha):
+    for n in (0, 3, NOISE_BLOCK, 2 * NOISE_BLOCK + 1617):
+        gen = RngStream(35).generator()
+        reference = 1.7 * sample_standard_sas(alpha, n, gen, gen)
+        assert sample_sas(StableParams(alpha, 1.7), n, RngStream(35)).tobytes() == \
+            reference.tobytes()
+
+
+def test_sample_sas_peak_memory_is_the_output_plus_a_few_blocks():
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        sample_sas(StableParams(1.5), n, RngStream(36))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured: the output plus about 6 block-sized temporaries
+    assert peak < 8 * n + 12 * 8 * NOISE_BLOCK
