@@ -18,16 +18,18 @@ near-equal tiles of at most TILE lanes, at least one per usable CPU, and
 one task per tile on the shared pool of ``parallel`` (one thread per usable
 CPU) reduces the tile's positions to a small result; the calling thread
 merges those results in lane order.  A lane's path depends on its stream
-alone, so it is reproducible per replicate, the same at any ensemble size,
-tile split and thread count, and invariant under changes of the stopping
-rule (enlarging an exit radius can only delay the recorded exit on the
-same path).  A chunk is scanned exactly when the objective declares linear
-drift with 0 < 1 - eta*rate < 1, and then each tile task also fills and
-scans its own tile first.  Otherwise the per-step update keeps a chunk
-time-major: one pool task per usable CPU fills the noise of a contiguous
-share of the lanes, the calling thread steps the rows, and the tile tasks
-reduce the block's column ranges without copying them.  ``simulate`` is a
-one-lane ensemble and scans the same way.
+and on its chunk lengths, which CHUNK_CAP, eta and max_steps set, so it is
+reproducible per replicate and the same at any ensemble size, tile split
+and thread count.  A chunk draws all its uniforms, then all its
+exponentials, so a step cap that changes a chunk's length changes the
+path; an exit radius never moves the path (enlarging one can only delay
+the recorded exit on the same path).  A chunk is scanned exactly when the
+objective declares linear drift with 0 < 1 - eta*rate < 1, and then each
+tile task also fills and scans its own tile first.  Otherwise the per-step
+update keeps a chunk time-major: one pool task per usable CPU fills the
+noise of a contiguous share of the lanes, the calling thread steps the
+rows, and the tile tasks reduce the block's column ranges without copying
+them.  ``simulate`` is a one-lane ensemble and scans the same way.
 Extreme draws are never truncated; an iterate that leaves float range halts
 its path with a divergence marker, which exit measurements count separately
 and never silently merge into exit statistics.
@@ -140,7 +142,7 @@ def noise_increments(config: SdeConfig, n_steps: int, gen: np.random.Generator) 
 
     Draw order is fixed (the stable block's uniforms, then its exponentials,
     then the Brownian block when sigma_brownian > 0) so that paths are
-    reproducible from the stream alone.
+    reproducible from the stream and the chunk lengths.
     """
     d = config.dim
     amp_s = config.epsilon * config.eta ** (1.0 / config.alpha)
