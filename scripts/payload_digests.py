@@ -9,10 +9,15 @@ quadratic exit-time run splits into two lane tiles of unequal size (17 and
 chunks, with its noise fill split into shares of an odd number of lanes.
 The `exit-brownian` run adds a Brownian part to the stable noise, so each
 lane draws its normals after its stable block.  The `converge-blocks` run
-draws its noise in blocks of 8 steps, the last block of each K ragged.  Every listed value of every enumerated key runs at
-least once, except `--source mnist`, which needs IDX files.  The other
-`train` runs use width 8; `train-wide.csv` runs the benchmark's width 128,
-where BLAS may take other kernels for the layer products.
+draws its noise in blocks of 8 steps, the last block of each K ragged.
+Large one-generator draws are made in blocks of 8192 variates; the
+`sample-blocks` (alpha 2), `estimate-blocks` (alpha 1), both `converge`
+runs at d 10 (their sigma_gamma estimates and squared-norm buffers) and
+`train-wide-inject` runs cross block boundaries and end on a ragged block.
+Every listed value of every enumerated key runs at least once, except
+`--source mnist`, which needs IDX files.  The other `train` runs use width
+8; `train-wide.csv` and `train-wide-inject.csv` run the benchmark's width
+128, where BLAS may take other kernels for the layer products.
 
 Each command writes into a fresh temporary $LEVYLAB_OUT; the wall-time line
 is stripped before hashing, so two checkouts that produce the same payloads
@@ -33,7 +38,9 @@ from levylab.studies import occupancy_study  # noqa: E402
 
 RUNS = [
     "sample --alpha 1.5 --n 200 --seed 1",
+    "sample --alpha 2.0 --n 20001 --seed 16 --output sample-blocks.csv",
     "estimate --alpha 1.5 --n 5000 --seed 2",
+    "estimate --alpha 1.0 --n 20001 --seed 17 --output estimate-blocks.csv",
     "stability --source mixture --n 3000 --seed 3",
     "stability --alpha 1.5 --n 3000 --threshold 5 --seed 3 --output stability-sas.csv",
     "stability --source gaussian --n 3000 --seed 3 --output stability-gaussian.csv",
@@ -61,10 +68,14 @@ RUNS = [
     "converge --noise sas --d 10 --ks 203,410 --reps 100 --seed 14 --output converge-blocks.csv",
     "converge --noise gaussian --d 2 --ks 50,100 --reps 5 --sigma_samples 2000 --seed 7"
     " --output converge-gaussian.csv",
+    "converge --noise gaussian --d 10 --ks 203,410 --reps 100 --seed 18"
+    " --output converge-gaussian-blocks.csv",
     "train --n 240 --dim 5 --classes 3 --width 8 --b 20 --iters 21 --log_every 10"
     " --measure_c_st true --seed 8",
     "train --n 2000 --dim 20 --classes 10 --width 128 --b 100 --iters 21 --log_every 10"
     " --measure_c_st true --seed 15 --output train-wide.csv",
+    "train --n 2000 --dim 20 --classes 10 --width 128 --b 100 --iters 11 --log_every 10"
+    " --inject_alpha 1.3 --seed 19 --output train-wide-inject.csv",
     "train --n 240 --dim 5 --classes 3 --width 8 --depth 2 --b 20 --iters 11 --log_every 10"
     " --seed 8 --output train-depth2.csv",
     "train --n 240 --dim 5 --classes 3 --width 8 --b 20 --iters 11 --log_every 10"
