@@ -87,15 +87,11 @@ def sample_standard_sas(alpha: float, size, gen: np.random.Generator,
 
 
 def advanced(gen: np.random.Generator, n: int) -> np.random.Generator:
-    """A copy of PCG64 generator ``gen`` positioned ``n`` uniform doubles on.
+    """A copy of PCG64 generator ``gen`` moved on by ``n`` uniform doubles.
 
     ``Generator.random`` takes one 64-bit output per double, so the copy
-    starts where ``gen.random(n)`` would leave ``gen``.  A one-generator draw
-    ``sample_standard_sas(alpha, (N, ...), gen, gen)`` of n variates then
-    equals, bit for bit, its consecutive leading-axis blocks drawn from
-    ``(gen, advanced(gen, n))``, and the copy ends where the one-shot draw
-    leaves ``gen``.  At alpha = 2 and for Gaussian noise the blocks draw from
-    ``gen`` alone, which then ends there itself.
+    starts where ``gen.random(n)`` would leave ``gen``: where the
+    exponentials of a one-generator draw of n variates start.
     """
     bit_gen = copy.deepcopy(gen.bit_generator)
     bit_gen.advance(n)
@@ -103,11 +99,14 @@ def advanced(gen: np.random.Generator, n: int) -> np.random.Generator:
 
 
 def draw_blocks(sample, n: int, row_shape: tuple[int, ...], gen: np.random.Generator):
-    """Yield ``(start, rows)`` blocks that together make ``sample((n, *row_shape), gen, gen)``.
+    """Yield ``(start, block)`` pairs that make ``sample((n, *row_shape), gen, gen)``.
 
     ``sample(shape, gen, exp_gen)`` draws as ``sample_standard_sas`` does.
     Each block holds NOISE_BLOCK variates' worth of rows (at least one) and
-    starts at row ``start``; the exponentials come from ``advanced``.
+    starts at row ``start``.  Its uniforms (or normals) come from ``gen`` and
+    its exponentials from ``advanced(gen, n * row size)``, so the blocks are
+    the one-call draw bit for bit, and the generator that drew last ends
+    where that call would leave ``gen``.
     """
     row_size = math.prod(row_shape)
     exp_gen = advanced(gen, n * row_size)
