@@ -214,8 +214,7 @@ def _whole_run_statistics(spec, noise, w0, R, K, eta, rng):
 def test_buffered_statistics_equal_the_whole_run_with_diverging_lanes():
     # a lane whose coordinate passes 2 gets an infinite gradient and stays
     # non-finite, so lanes drop out across the 81-step buffers
-    base = quadratic(2)
-    spec = dataclasses.replace(base, linear_drift=None,
+    spec = dataclasses.replace(quadratic(2), linear_drift=None,
                                grad=lambda W: np.where(np.abs(W) > 2.0, np.inf, W))
     noise, w0, R = GradientNoise("sas", 1.2, 0.3), np.full(2, 1.0), 100
     cfg = ConvergenceConfig(gamma=0.1, sigma_gamma=1.0, M=1.0, gap=1.0, ks=(250, 40),
