@@ -137,6 +137,23 @@ def test_double_well_gradient_consistent_everywhere(w):
     assert fd == pytest.approx(g, rel=1e-4, abs=1e-3)
 
 
+@pytest.mark.parametrize("scale", [1.0, 2.5])
+def test_double_well_gradient_keeps_the_scaled_product_bits(scale):
+    # at unit scale the gradient skips its multiply by scale; on signed zeros,
+    # infinities, NaNs, subnormals and values near overflow it keeps the bits
+    # of scale * w * (w - m1) * (w - m2)
+    m1, m2 = -0.3, 0.7
+    big = np.finfo(float).max
+    w = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e-310,
+                  m1, m2, 0.2, -7.5, 1e102, -1e102, np.cbrt(big), -np.cbrt(big),
+                  np.nextafter(np.cbrt(big), np.inf), 1e200, big, -big])
+    with np.errstate(all="ignore"):
+        expected = scale * w * (w - m1) * (w - m2)
+        got = double_well(m1, m2, scale).grad(w)
+    assert got.tobytes() == expected.tobytes()
+    assert np.isnan(got).sum() == 2 and np.isinf(got).any()
+
+
 def test_near_degenerate_curvature_warns():
     # a nearly flat declared minimum trips the curvature warning
     with pytest.warns(UserWarning):
