@@ -13,11 +13,11 @@ a finer step discretizes the same continuous-time process.
 
 One chunked engine advances every simulation: lanes move in lockstep, each
 on its own substream, and an observer (first exit, first transition, valley
-counts, stored path) sees each chunk once.  Each chunk's lanes split into
-near-equal tiles of at most TILE lanes, at least one per usable CPU, and
-one task per tile on the shared pool of ``parallel`` (one thread per usable
-CPU) reduces the tile's positions to a small result; the calling thread
-merges those results in lane order.  A lane's path depends on its stream
+counts, stored path) sees each block of steps once.  Each block's lanes
+split into near-equal tiles of at most TILE lanes, at least one per usable
+CPU, and one task per tile on the shared pool of ``parallel`` (one thread
+per usable CPU) reduces the tile's positions to a small result; the
+calling thread merges those results in lane order.  A lane's path depends on its stream
 and on its chunk lengths, which CHUNK_CAP, eta and max_steps set, so it is
 reproducible per replicate and the same at any ensemble size, tile split
 and thread count.  A chunk draws all its uniforms, then all its
@@ -25,12 +25,17 @@ exponentials, so a step cap that changes a chunk's length changes the
 path; an exit radius never moves the path (enlarging one can only delay
 the recorded exit on the same path).  A chunk is scanned exactly when the
 objective declares linear drift with 0 < 1 - eta*rate < 1, and then each
-tile task also fills and scans its own tile first.  Otherwise the per-step
-update keeps a chunk time-major: one pool task per usable CPU fills the
-noise of a contiguous share of the lanes, the calling thread steps the
-rows, and the tile tasks reduce the block's column ranges without copying
-them.  ``simulate`` is a one-lane ensemble and scans the same way.
-Extreme draws are never truncated; an iterate that leaves float range halts
+tile task also fills and scans its own tile first; the block is the chunk.
+Otherwise the per-step update holds a chunk time-major in pieces of at most
+BUDGET variates, each one (rows, A, d) block: one pool task per usable CPU
+fills the noise of a contiguous share of the lanes, the calling thread
+steps the rows, the tile tasks reduce the block's column ranges without
+copying them, and lanes that are done retire before the next piece.  A
+lane's pieces draw its chunk's bytes: its uniforms come from its
+generator, its exponentials from a spare generator positioned where the
+chunk's uniforms end, and at the chunk end the lane goes on with the
+generator that drew last.  ``simulate`` is a one-lane ensemble and scans
+the same way.  Extreme draws are never truncated; an iterate that leaves float range halts
 its path with a divergence marker, which exit measurements count separately
 and never silently merge into exit statistics.
 """
@@ -49,10 +54,12 @@ from .csvfmt import CsvRecord
 from .errors import ParameterError
 from .objectives import ObjectiveSpec
 from .rng import RngStream
-from .stable import sample_standard_sas
+from .stable import NOISE_BLOCK, positioned, sample_standard_sas
 
 CHUNK_CAP = 8192
 TILE = 32
+# Variates in one per-step block: 4 MiB of float64, which sets the piece length.
+BUDGET = 2**19
 
 
 @dataclass(frozen=True)
@@ -137,19 +144,25 @@ def _chunk_len(eta: float, max_steps: int) -> int:
     return min(cap, max_steps)
 
 
-def noise_increments(config: SdeConfig, n_steps: int, gen: np.random.Generator) -> np.ndarray:
+def noise_increments(config: SdeConfig, n_steps: int, gen: np.random.Generator,
+                     exp_gen: np.random.Generator,
+                     normal_gen: np.random.Generator) -> np.ndarray:
     """Combined per-step noise increments, shape (n_steps, dim).
 
-    Draw order is fixed (the stable block's uniforms, then its exponentials,
-    then the Brownian block when sigma_brownian > 0) so that paths are
-    reproducible from the stream and the chunk lengths.
+    The stable block's uniforms (or its normals at alpha = 2) come from
+    ``gen``, its exponentials from ``exp_gen``, and the Brownian block, when
+    sigma_brownian > 0, from ``normal_gen``.  One generator passed three
+    times draws a chunk in the fixed order (uniforms, then exponentials,
+    then Brownian normals) that makes paths reproducible from the stream
+    and the chunk lengths; ``_chunk_draws`` positions three generators so
+    that consecutive pieces of a chunk give that order's bytes.
     """
     d = config.dim
     amp_s = config.epsilon * config.eta ** (1.0 / config.alpha)
-    inc = amp_s * sample_standard_sas(config.alpha, (n_steps, d), gen, gen)
+    inc = amp_s * sample_standard_sas(config.alpha, (n_steps, d), gen, exp_gen)
     if config.sigma_brownian > 0.0:
         amp_z = config.epsilon * config.sigma_brownian * math.sqrt(config.eta)
-        inc += amp_z * gen.normal(0.0, 1.0, (n_steps, d))
+        inc += amp_z * normal_gen.normal(0.0, 1.0, (n_steps, d))
     return inc
 
 
@@ -194,7 +207,7 @@ def _observe(W, reduce, done):
     return W[:, -1].copy(), reduce(done, W, finite), ~finite.all(axis=1)
 
 
-def _fill_and_scan(config, gens, lanes, wa, L, scan, reduce, done, scratch):
+def _fill_and_scan(config, draws, lanes, wa, L, scan, reduce, done, scratch):
     """Noise fill, scan and observation of one tile, whose (A, L, d) block stays here.
 
     The block is a view of ``scratch.buf``, one buffer per thread that each
@@ -207,56 +220,95 @@ def _fill_and_scan(config, gens, lanes, wa, L, scan, reduce, done, scratch):
         scratch.buf = np.empty(n)
     W = scratch.buf[:n].reshape(lanes.size, L, config.dim)
     for i, rid in enumerate(lanes):
-        W[i] = noise_increments(config, L, gens[rid])
+        W[i] = noise_increments(config, L, *draws[rid])
     scan(W, wa)
     return _observe(W, reduce, done)
 
 
-def _fill_columns(config, gens, lanes, P, cols):
+def _fill_columns(config, draws, lanes, P, cols):
     """Draw the noise of lanes[cols] into their (disjoint) columns of the (L, A, d) block P."""
     for k in cols:
-        P[:, k] = noise_increments(config, P.shape[0], gens[lanes[k]])
+        P[:, k] = noise_increments(config, P.shape[0], *draws[lanes[k]])
 
 
-def _fill_and_step(pool, workers, config, gens, lanes, wa, L, spec, reduce, done, spans):
-    """The per-step chunk of all ``lanes``: one ``_observe`` result per (start, end) column span.
+def _fill_and_step(pool, workers, config, draws, lanes, wa, L, spec, reduce, done, spans):
+    """The per-step piece of all ``lanes``: one ``_observe`` result per (start, end) column span.
 
     Each span's tile is a basic slice of the (L, A, d) block, viewed lane
     major, so no tile is copied.  The block is local and the results share
-    no memory with it, so it is freed before the next chunk allocates its own.
+    no memory with it, so it is freed before the next piece allocates its own.
     """
     P = np.empty((L, lanes.size, config.dim))
     shares = np.array_split(np.arange(lanes.size), min(workers, lanes.size))
-    list(parallel.run_tasks(pool, _fill_columns, [(config, gens, lanes, P, cols)
+    list(parallel.run_tasks(pool, _fill_columns, [(config, draws, lanes, P, cols)
                                                   for cols in shares]))
     _scan_chunk_generic(P, wa, spec, config.eta)
     return list(parallel.run_tasks(pool, _observe, [(P[:, s:e].transpose(1, 0, 2), reduce, done)
                                                     for s, e in spans]))
 
 
+def _chunk_draws(config, gens, spares, active, L, rows):
+    """Each active lane's (uniform, exponential, normal) generators for an L-step chunk.
+
+    A chunk drawn in one piece takes all three from the lane's generator.
+    In pieces of ``rows`` steps, each piece takes its uniforms (or, at alpha
+    = 2, its stable normals) from the lane's generator, its exponentials
+    from a spare positioned where the chunk's n = L * d uniforms end, and
+    its Brownian normals from a spare positioned where the chunk's n
+    exponentials (or stable normals) end.  That point depends on the draws,
+    so the spare makes them in NOISE_BLOCK pieces and discards them.  The
+    last generator ends the chunk where a one-piece draw would leave the
+    lane's generator.  A lane's two spares are made the first time it needs
+    them and reused after.
+    """
+    if rows >= L:
+        return {rid: (gens[rid],) * 3 for rid in active.tolist()}
+    n = L * config.dim
+    draws = {}
+    for rid in active.tolist():
+        if rid not in spares:
+            spares[rid] = [np.random.Generator(np.random.PCG64(0)) for _ in range(2)]
+        gen, (spare_exp, spare_normal) = gens[rid], spares[rid]
+        exp_gen = normal_gen = positioned(spare_exp, gen, n) if config.alpha < 2.0 else gen
+        if config.sigma_brownian > 0.0:
+            normal_gen = positioned(spare_normal, exp_gen)
+            skip = (normal_gen.standard_exponential if config.alpha < 2.0
+                    else normal_gen.standard_normal)
+            for start in range(0, n, NOISE_BLOCK):
+                skip(min(NOISE_BLOCK, n - start))
+        draws[rid] = gen, exp_gen, normal_gen
+    return draws
+
+
 def _run_lanes(config, spec, streams, reduce, merge):
     """Advance one lane per stream, chunk by chunk, until all retire or time out.
 
     The observer comes in two parts.  ``reduce(done, W, finite)`` gets the
-    steps before the chunk, one tile's (A, L, d) positions and their
+    steps before the block, one tile's (A, L, d) positions and their
     (A, L) finite mask, and returns a small result that shares no memory
-    with the block, whose memory the next tile or chunk reuses; it must not
+    with the block, whose memory the next tile or piece reuses; it must not
     write to shared state, since tiles reduce concurrently.  ``merge(lanes,
     done, result)`` gets the tile's running lane ids and that result on the
     calling thread, in lane order, and returns the mask (or False) of lanes
     it is done with.  Lanes that reach a non-finite iterate retire too.
 
-    A chunk's A active lanes split into max(ceil(A / TILE), min(workers, A))
+    A block's A active lanes split into max(ceil(A / TILE), min(workers, A))
     near-equal tiles, and one task per tile observes it, returning only its
     last row, its result and its divergence mask.  Under the linear scan
-    the same task first fills and scans the tile.  The per-step scan keeps
-    the chunk time-major, as one (L, A, d) block: its noise is filled
-    first, lane by lane into the block's columns, by one task per
-    contiguous share of the lanes; the calling thread then steps the rows,
-    and the tile tasks observe the block's column ranges.  Tasks run on one
-    thread per usable CPU when there are two or more and at least two
-    lanes.  The next chunk starts only after every result is merged, so a
-    lane's generator is used by one thread at a time.
+    the block is the whole chunk, and the same task first fills and scans
+    the tile.  The per-step scan holds a chunk time-major, in pieces of
+    max(1, BUDGET // (A * d)) steps, with A the lanes active at the chunk
+    start: each piece is one (rows, A, d) block, whose noise is filled
+    first, lane by lane into its columns, by one task per contiguous share
+    of the lanes; the calling thread then steps the rows, the tile tasks
+    observe the block's column ranges, and the merge retires lanes before
+    the next piece, so a lane that stops draws no further piece.  The
+    pieces draw each lane's chunk exactly as one piece would (see
+    ``_chunk_draws``), and at the chunk end the lane goes on with the
+    generator that drew last.  Tasks run on one thread per usable CPU when
+    there are two or more and at least two lanes.  The next block starts
+    only after every result is merged, so a lane's generators are used by
+    one thread at a time.
     """
     if spec.dim != config.dim:
         raise ParameterError(f"objective dim {spec.dim} != config dim {config.dim}")
@@ -265,6 +317,7 @@ def _run_lanes(config, spec, streams, reduce, merge):
     if drift is not None and not (0.0 < 1.0 - eta * drift[0] < 1.0):
         drift = None
     gens = [s.generator() for s in streams]
+    spares = {}
     if drift is not None:
         scan = partial(_scan_chunk_linear, rate=drift[0], center=np.asarray(drift[1]), eta=eta)
     w = np.tile(np.asarray(config.w0), (len(gens), 1))
@@ -276,21 +329,33 @@ def _run_lanes(config, spec, streams, reduce, merge):
     with parallel.task_pool(len(gens)) as pool, np.errstate(all="ignore"):
         while active.size and done < config.max_steps:
             L = min(L0, config.max_steps - done)
-            tiles = np.array_split(active, max(-(-active.size // TILE), min(workers, active.size)))
-            if drift is None:
-                edges = np.cumsum([0] + [lanes.size for lanes in tiles])
-                results = _fill_and_step(pool, workers, config, gens, active, w[active], L,
-                                         spec, reduce, done, zip(edges[:-1], edges[1:]))
-            else:
-                results = parallel.run_tasks(
-                    pool, _fill_and_scan,
-                    [(config, gens, lanes, w[lanes], L, scan, reduce, done, scratch)
-                     for lanes in tiles])
-            retire = []
-            for lanes, (last, result, diverged) in zip(tiles, results):
-                w[lanes] = last
-                retire.append(merge(lanes, done, result) | diverged)
-            active = active[~np.concatenate(retire)]
+            rows = L if drift is not None else max(1, BUDGET // (active.size * config.dim))
+            draws = _chunk_draws(config, gens, spares, active, L, rows)
+            for start in range(done, done + L, rows):
+                if not active.size:
+                    break
+                n = min(rows, done + L - start)
+                tiles = np.array_split(active, max(-(-active.size // TILE),
+                                                   min(workers, active.size)))
+                if drift is None:
+                    edges = np.cumsum([0] + [lanes.size for lanes in tiles])
+                    results = _fill_and_step(pool, workers, config, draws, active, w[active], n,
+                                             spec, reduce, start, zip(edges[:-1], edges[1:]))
+                else:
+                    results = parallel.run_tasks(
+                        pool, _fill_and_scan,
+                        [(config, draws, lanes, w[lanes], n, scan, reduce, start, scratch)
+                         for lanes in tiles])
+                retire = []
+                for lanes, (last, result, diverged) in zip(tiles, results):
+                    w[lanes] = last
+                    retire.append(merge(lanes, start, result) | diverged)
+                active = active[~np.concatenate(retire)]
+            for rid in active.tolist():
+                last = draws[rid][2]
+                if last is not gens[rid]:
+                    pair = spares[rid]
+                    pair[pair.index(last)], gens[rid] = gens[rid], last
             done += L
 
 

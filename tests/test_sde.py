@@ -132,7 +132,7 @@ def test_single_step_matches_update_formula():
                   w0=(0.4,), max_steps=1)
     spec = quadratic(1)
     traj = simulate(config, _undeclared(spec), RngStream(93))
-    inc = noise_increments(config, 1, RngStream(93).generator())
+    inc = noise_increments(config, 1, *[RngStream(93).generator()] * 3)
     w0 = np.asarray(config.w0)
     expected = w0 - config.eta * spec.grad(w0) + inc[0]
     assert np.allclose(traj.points[1], expected, rtol=0, atol=0)
@@ -142,7 +142,7 @@ def test_noise_increments_amplitudes():
     # stable block scales as eps eta^(1/alpha); at alpha=2 each unit draw has
     # variance 2 under the characteristic-function convention
     config = _cfg(eta=0.04, epsilon=0.5, alpha=2.0, sigma_brownian=0.0)
-    inc = noise_increments(config, 200_000, RngStream(94).generator())
+    inc = noise_increments(config, 200_000, *[RngStream(94).generator()] * 3)
     amp = config.epsilon * config.eta ** 0.5
     assert inc.var() == pytest.approx(2.0 * amp**2, rel=0.02)
 
@@ -153,7 +153,7 @@ def test_noise_increments_scale_roundtrip():
     alpha, eta = 1.2, 0.01
     config = _cfg(eta=eta, epsilon=1.0, alpha=alpha)
     draws = np.concatenate(
-        [noise_increments(config, 1000, RngStream(32, i).generator()) for i in range(100)]
+        [noise_increments(config, 1000, *[RngStream(32, i).generator()] * 3) for i in range(100)]
     )
     est = estimate_alpha(draws.ravel() / eta ** (1.0 / alpha), 100)
     assert abs(est.alpha_hat - alpha) < 0.1
@@ -477,10 +477,10 @@ def test_tile_task_error_surfaces_and_threads_stop(monkeypatch):
     boom = ParameterError("lane 40 failed")
     draw = sde.noise_increments
 
-    def failing(config, n, gen):
+    def failing(config, n, gen, exp_gen, normal_gen):
         if gen.bit_generator.state == target:
             raise boom
-        return draw(config, n, gen)
+        return draw(config, n, gen, exp_gen, normal_gen)
 
     monkeypatch.setattr(sde, "noise_increments", failing)
     before = threading.active_count()
@@ -513,7 +513,7 @@ def _per_step_exits(config, spec, rng, n, thr):
     for r in range(n):
         gen, w, step, rec = rng.substream(r).generator(), np.asarray(config.w0), 0, None
         while rec is None and step < config.max_steps:
-            for inc in noise_increments(config, min(L, config.max_steps - step), gen):
+            for inc in noise_increments(config, min(L, config.max_steps - step), gen, gen, gen):
                 w = w - config.eta * spec.grad(w) + inc
                 step += 1
                 if not np.isfinite(w).all() or abs(w[0]) > thr:
@@ -604,10 +604,10 @@ def test_pooled_fill_error_surfaces_and_threads_stop(monkeypatch, threads):
     boom = ParameterError("lane 20 failed")
     draw = sde.noise_increments
 
-    def failing(config, n, gen):
+    def failing(config, n, gen, exp_gen, normal_gen):
         if gen.bit_generator.state == target:
             raise boom
-        return draw(config, n, gen)
+        return draw(config, n, gen, exp_gen, normal_gen)
 
     monkeypatch.setattr(sde, "noise_increments", failing)
     before = threading.active_count()
@@ -628,6 +628,74 @@ def test_pooled_fill_of_diverging_ensemble_warns_nothing(monkeypatch):
         records = first_exit_ensemble(config, double_well(-1.0, 2.0), -1.0, 1e308,
                                       RngStream(131), 24)
     assert any(r.diverged for r in records)
+
+
+@pytest.mark.parametrize("alpha,sigma_b,dim", [(0.8, 0.0, 1), (1.0, 0.0, 1), (1.5, 0.0, 1),
+                                               (2.0, 0.0, 1), (1.5, 0.5, 1), (2.0, 0.5, 1),
+                                               (1.3, 0.3, 2)])
+def test_per_step_pieces_draw_whole_chunks(monkeypatch, alpha, sigma_b, dim):
+    # a budget of 67 variates per lane splits the 1500-step first chunk of 9
+    # lanes into pieces of 67 // dim steps, the last ragged; a stored path,
+    # exit records and occupancy are the whole-chunk ones bit for bit at 1, 2
+    # and 3 threads.  Alpha 1 still draws exponentials, alpha 2 draws
+    # normals, and the Brownian normals start where the stable draws end
+    config = SdeConfig(eta=0.02, epsilon=0.15, alpha=alpha, w0=(-1.0,) + (0.0,) * (dim - 1),
+                       sigma_brownian=sigma_b, max_steps=1800)
+    if dim == 1:
+        spec, center, a = double_well(-1.0, 2.0), -1.0, 1.0
+    else:
+        spec, center, a = _undeclared(quadratic(2)), (0.0, 0.0), 1.5
+
+    def run():
+        path = simulate(config, spec, RngStream(160)).points
+        exits = first_exit_ensemble(config, spec, center, a, RngStream(161), 9)
+        occupancy = occupancy_ensemble(config, spec, RngStream(162), 9) if dim == 1 else None
+        return path.tobytes(), exits, repr(occupancy)
+
+    whole = run()
+    sizes = set()
+    draw = sde.noise_increments
+
+    def spy(config, n, *gens):
+        sizes.add(n)
+        return draw(config, n, *gens)
+
+    monkeypatch.setattr(sde, "noise_increments", spy)
+    monkeypatch.setattr(sde, "BUDGET", 67 * 9)
+    for threads in (1, 2, 3):
+        _threads(monkeypatch, threads)
+        assert run() == whole
+    rows = 67 // dim
+    assert {rows, 1500 % rows} <= sizes
+
+
+def test_lanes_retire_per_piece_with_whole_chunk_records(monkeypatch):
+    # 40 lanes in 600-step chunks, drawn in pieces of 100 steps: some lanes
+    # cross in the first piece and draw nothing after it, some only after the
+    # first chunk; the records are the whole-chunk ones at 1, 2 and 3
+    # threads, and fewer rows are drawn
+    config = SdeConfig(eta=0.05, epsilon=0.3, alpha=1.2, w0=(-1.0,), max_steps=3000)
+    spec = double_well(-1.0, 2.0)
+    drawn = []
+    draw = sde.noise_increments
+
+    def spy(config, n, *gens):
+        drawn.append(n)
+        return draw(config, n, *gens)
+
+    monkeypatch.setattr(sde, "noise_increments", spy)
+    records, div = first_transition_ensemble(config, spec, 0.2, RngStream(163), 40)
+    steps = [r.transition_step for r in records]
+    assert min(steps) <= 100 and max(steps) > sde._chunk_len(config.eta, config.max_steps)
+    whole_rows = sum(drawn)
+    monkeypatch.setattr(sde, "BUDGET", 100 * 40)
+    for threads in (1, 2, 3):
+        _threads(monkeypatch, threads)
+        drawn.clear()
+        piece_records, piece_div = first_transition_ensemble(config, spec, 0.2,
+                                                             RngStream(163), 40)
+        assert piece_records == records and np.array_equal(piece_div, div)
+        assert sum(drawn) < whole_rows
 
 
 def test_diverged_lane_not_counted_as_exit():
@@ -702,8 +770,9 @@ def test_three_basin_transitions_land_in_the_nearby_neighbor():
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_transition_peak_memory_stays_near_one_block(monkeypatch, threads):
-    # the per-step chunk's (L, A, d) block is the one block-sized array; its
-    # tiles are observed without block-sized temporaries
+    # the per-step piece's (rows, A, d) block, at most BUDGET variates, is the
+    # one block-sized array; its tiles are observed without block-sized
+    # temporaries
     _threads(monkeypatch, threads)
     config = SdeConfig(eta=0.01, epsilon=0.3, alpha=1.2, w0=(-1.0,), max_steps=8192)
     L = sde._chunk_len(config.eta, config.max_steps)
@@ -714,6 +783,23 @@ def test_transition_peak_memory_stays_near_one_block(monkeypatch, threads):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 300 * L * 8
+    assert peak < 2 * sde.BUDGET * 8
+
+
+def test_per_step_peak_memory_does_not_follow_the_lanes(monkeypatch):
+    # four times the lanes over the same 2048-step chunk hold pieces of a
+    # quarter the length, so the peak grows only by per-lane state
+    _threads(monkeypatch, 2)
+    config = SdeConfig(eta=0.01, epsilon=0.3, alpha=1.2, w0=(-1.0,), max_steps=2048)
+    peaks = []
+    for lanes in (300, 1200):
+        tracemalloc.start()
+        try:
+            first_transition_ensemble(config, double_well(-1.0, 2.0), 0.2, RngStream(7), lanes)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.6 * peaks[0]
 
 
 def test_occupancy_of_single_valley_path():
