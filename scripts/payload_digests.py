@@ -8,7 +8,11 @@ quadratic exit-time run splits into two lane tiles of unequal size (17 and
 33-replicate double-well run takes the per-step scan over two
 chunks, with its noise fill split into shares of an odd number of lanes.
 The `exit-brownian` run adds a Brownian part to the stable noise, so each
-lane draws its normals after its stable block.  The `converge-blocks` run
+lane draws its normals after its stable block.  The per-step engine holds
+a chunk in pieces of 2**19 variates: the first 8192-step chunks of the
+200-lane `transition-pieces` run split into pieces of 2621 steps, the last
+of 329, and those of the 100-lane `exit-well-brownian` run into 5242 and
+2950 steps, with the Brownian normals drawn after the stable block.  The `converge-blocks` run
 draws its noise in blocks of 8 steps, the last block of each K ragged.
 Large one-generator draws are made in blocks of 8192 variates; the
 `sample-blocks` (alpha 2), `estimate-blocks` (alpha 1), both `converge`
@@ -61,8 +65,13 @@ RUNS = [
     "exit-time --objective double_well --start_basin 1 --alpha 1.5 --eps 0.05 --a 0.5"
     " --eta 0.01 --reps 33 --time_cap_factor 2 --seed 12 --output exit-well-pool.csv"
     " --records_output exit-well-pool-records.csv",
+    "exit-time --objective double_well --start_basin 1 --alpha 1.5 --eps 0.1 --a 0.5"
+    " --eta 1e-3 --reps 100 --sigma_brownian 0.5 --time_cap_factor 1.1 --seed 21"
+    " --output exit-well-brownian.csv --records_output exit-well-brownian-records.csv",
     "transition --alpha 1.2 --eps 0.4 --eta 0.01 --reps 20 --seed 6"
     " --records_output transition-records.csv",
+    "transition --alpha 1.2 --eps 0.2 --eta 1e-3 --reps 200 --time_cap_factor 1.1 --seed 20"
+    " --output transition-pieces.csv --records_output transition-pieces-records.csv",
     "metastability --minima -1,2,4 --saddles 0,3 --alpha 1.3",
     "converge --noise sas --d 2 --ks 50,100 --reps 5 --sigma_samples 2000 --seed 7",
     "converge --noise sas --d 10 --ks 203,410 --reps 100 --seed 14 --output converge-blocks.csv",
