@@ -58,7 +58,9 @@ from .stable import NOISE_BLOCK, positioned, sample_standard_sas
 
 CHUNK_CAP = 8192
 TILE = 32
-# Variates in one per-step block: 4 MiB of float64, which sets the piece length.
+# Variates in one per-step block (4 MiB of float64), which sets the piece
+# length; each piece costs one draw call per lane, so a smaller budget
+# costs wall time.
 BUDGET = 2**19
 
 

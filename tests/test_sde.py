@@ -649,8 +649,10 @@ def test_per_step_pieces_draw_whole_chunks(monkeypatch, alpha, sigma_b, dim):
     def run():
         path = simulate(config, spec, RngStream(160)).points
         exits = first_exit_ensemble(config, spec, center, a, RngStream(161), 9)
-        occupancy = occupancy_ensemble(config, spec, RngStream(162), 9) if dim == 1 else None
-        return path.tobytes(), exits, repr(occupancy)
+        if dim > 1:
+            return path.tobytes(), exits
+        fractions, n_div = occupancy_ensemble(config, spec, RngStream(162), 9)
+        return path.tobytes(), exits, fractions.tobytes(), n_div
 
     whole = run()
     sizes = set()
