@@ -31,13 +31,12 @@ BUDGET variates, each one (rows, A, d) block: one pool task per usable CPU
 fills the noise of a contiguous share of the lanes, the calling thread
 steps the rows, the tile tasks reduce the block's column ranges without
 copying them, and lanes that are done retire before the next piece.  A
-lane's pieces draw its chunk's bytes: its uniforms come from its
-generator, its exponentials from a spare generator positioned where the
-chunk's uniforms end, and at the chunk end the lane goes on with the
-generator that drew last.  ``simulate`` is a one-lane ensemble and scans
-the same way.  Extreme draws are never truncated; an iterate that leaves float range halts
-its path with a divergence marker, which exit measurements count separately
-and never silently merge into exit statistics.
+lane's pieces draw its chunk's bytes by ``stable.piece_generators``, and
+at the chunk end the lane goes on with the generator that drew last.
+``simulate`` is a one-lane ensemble and scans the same way.  Extreme draws
+are never truncated; an iterate that leaves float range halts its path
+with a divergence marker, which exit measurements count separately and
+never silently merge into exit statistics.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from .csvfmt import CsvRecord
 from .errors import ParameterError
 from .objectives import ObjectiveSpec
 from .rng import RngStream
-from .stable import NOISE_BLOCK, positioned, sample_standard_sas
+from .stable import piece_generators, sample_standard_sas
 
 CHUNK_CAP = 8192
 TILE = 32
@@ -140,7 +139,8 @@ class TransitionRecord(CsvRecord):
 def _chunk_len(eta: float, max_steps: int) -> int:
     # Each lane draws its noise one chunk at a time, and the stable sampler
     # draws the chunk's whole uniform block before its exponential block, so
-    # the chunk length decides which variate drives which step.  Changing it
+    # the chunk length decides which variate drives which step (pieces of a
+    # chunk keep its bytes; see ``stable.piece_generators``).  Changing it
     # changes every path and every payload byte; the 30/eta cap stays as is.
     cap = max(64, min(CHUNK_CAP, math.ceil(30.0 / eta)))
     return min(cap, max_steps)
@@ -156,8 +156,8 @@ def noise_increments(config: SdeConfig, n_steps: int, gen: np.random.Generator,
     sigma_brownian > 0, from ``normal_gen``.  One generator passed three
     times draws a chunk in the fixed order (uniforms, then exponentials,
     then Brownian normals) that makes paths reproducible from the stream
-    and the chunk lengths; ``_chunk_draws`` positions three generators so
-    that consecutive pieces of a chunk give that order's bytes.
+    and the chunk lengths; the generators of ``stable.piece_generators``
+    make consecutive pieces of a chunk give that order's bytes.
     """
     d = config.dim
     amp_s = config.epsilon * config.eta ** (1.0 / config.alpha)
@@ -249,39 +249,6 @@ def _fill_and_step(pool, workers, config, draws, lanes, wa, L, spec, reduce, don
                                                     for s, e in spans]))
 
 
-def _chunk_draws(config, gens, spares, active, L, rows):
-    """Each active lane's (uniform, exponential, normal) generators for an L-step chunk.
-
-    A chunk drawn in one piece takes all three from the lane's generator.
-    In pieces of ``rows`` steps, each piece takes its uniforms (or, at alpha
-    = 2, its stable normals) from the lane's generator, its exponentials
-    from a spare positioned where the chunk's n = L * d uniforms end, and
-    its Brownian normals from a spare positioned where the chunk's n
-    exponentials (or stable normals) end.  That point depends on the draws,
-    so the spare makes them in NOISE_BLOCK pieces and discards them.  The
-    last generator ends the chunk where a one-piece draw would leave the
-    lane's generator.  A lane's two spares are made the first time it needs
-    them and reused after.
-    """
-    if rows >= L:
-        return {rid: (gens[rid],) * 3 for rid in active.tolist()}
-    n = L * config.dim
-    draws = {}
-    for rid in active.tolist():
-        if rid not in spares:
-            spares[rid] = [np.random.Generator(np.random.PCG64(0)) for _ in range(2)]
-        gen, (spare_exp, spare_normal) = gens[rid], spares[rid]
-        exp_gen = normal_gen = positioned(spare_exp, gen, n) if config.alpha < 2.0 else gen
-        if config.sigma_brownian > 0.0:
-            normal_gen = positioned(spare_normal, exp_gen)
-            skip = (normal_gen.standard_exponential if config.alpha < 2.0
-                    else normal_gen.standard_normal)
-            for start in range(0, n, NOISE_BLOCK):
-                skip(min(NOISE_BLOCK, n - start))
-        draws[rid] = gen, exp_gen, normal_gen
-    return draws
-
-
 def _run_lanes(config, spec, streams, reduce, merge):
     """Advance one lane per stream, chunk by chunk, until all retire or time out.
 
@@ -304,13 +271,14 @@ def _run_lanes(config, spec, streams, reduce, merge):
     first, lane by lane into its columns, by one task per contiguous share
     of the lanes; the calling thread then steps the rows, the tile tasks
     observe the block's column ranges, and the merge retires lanes before
-    the next piece, so a lane that stops draws no further piece.  The
-    pieces draw each lane's chunk exactly as one piece would (see
-    ``_chunk_draws``), and at the chunk end the lane goes on with the
-    generator that drew last.  Tasks run on one thread per usable CPU when
-    there are two or more and at least two lanes.  The next block starts
-    only after every result is merged, so a lane's generators are used by
-    one thread at a time.
+    the next piece, so a lane that stops draws no further piece.  A chunk
+    in one piece takes all three of noise_increments' generators from the
+    lane's generator; in more, they come from ``stable.piece_generators``,
+    so the pieces draw the chunk exactly as one piece would, and at the
+    chunk end the lane goes on with the generator that drew last.  Tasks
+    run on one thread per usable CPU when there are two or more and at
+    least two lanes.  The next block starts only after every result is
+    merged, so a lane's generators are used by one thread at a time.
     """
     if spec.dim != config.dim:
         raise ParameterError(f"objective dim {spec.dim} != config dim {config.dim}")
@@ -319,7 +287,6 @@ def _run_lanes(config, spec, streams, reduce, merge):
     if drift is not None and not (0.0 < 1.0 - eta * drift[0] < 1.0):
         drift = None
     gens = [s.generator() for s in streams]
-    spares = {}
     if drift is not None:
         scan = partial(_scan_chunk_linear, rate=drift[0], center=np.asarray(drift[1]), eta=eta)
     w = np.tile(np.asarray(config.w0), (len(gens), 1))
@@ -332,7 +299,12 @@ def _run_lanes(config, spec, streams, reduce, merge):
         while active.size and done < config.max_steps:
             L = min(L0, config.max_steps - done)
             rows = L if drift is not None else max(1, BUDGET // (active.size * config.dim))
-            draws = _chunk_draws(config, gens, spares, active, L, rows)
+            if rows >= L:
+                draws = {rid: (gens[rid],) * 3 for rid in active.tolist()}
+            else:
+                draws = {rid: piece_generators(gens[rid], L * config.dim, config.alpha < 2.0,
+                                               config.sigma_brownian > 0.0)
+                         for rid in active.tolist()}
             for start in range(done, done + L, rows):
                 if not active.size:
                     break
@@ -354,10 +326,7 @@ def _run_lanes(config, spec, streams, reduce, merge):
                     retire.append(merge(lanes, start, result) | diverged)
                 active = active[~np.concatenate(retire)]
             for rid in active.tolist():
-                last = draws[rid][2]
-                if last is not gens[rid]:
-                    pair = spares[rid]
-                    pair[pair.index(last)], gens[rid] = gens[rid], last
+                gens[rid] = draws[rid][2]
             done += L
 
 

@@ -13,9 +13,11 @@ step eta are these scale-1 draws times eta**(1/alpha); ``sde.noise_increments``
 is the one place that applies that scaling.
 
 A large one-generator draw is made in blocks of NOISE_BLOCK variates
-(``draw_blocks``): the exponentials come from ``advanced(gen, n)``, a copy
-of the generator that starts where the n uniforms end, so the blocks give
-the one-shot draw's bytes while the temporaries stay one block in size.
+(``draw_blocks``), so the temporaries stay one block in size.  One rule,
+``piece_generators``, gives the generators that draw such a draw in pieces
+with the one-shot bytes: the exponentials come from ``advanced(gen, n)``, a
+copy of the generator that starts where the n uniforms end.  The Euler
+engine draws its per-step chunks in pieces by the same rule.
 """
 
 from __future__ import annotations
@@ -85,23 +87,41 @@ def sample_standard_sas(alpha: float, size, gen: np.random.Generator,
     )
 
 
-def positioned(dst: np.random.Generator, src: np.random.Generator,
-               n: int = 0) -> np.random.Generator:
-    """PCG64 generator ``dst``, set to the state of ``src`` moved on by ``n`` uniform doubles.
+def advanced(gen: np.random.Generator, n: int = 0) -> np.random.Generator:
+    """A new PCG64 generator at the state of ``gen`` moved on by ``n`` uniform doubles.
 
-    ``Generator.random`` takes one 64-bit output per double, so ``dst``
-    starts where ``src.random(n)`` would leave ``src``: where the
-    exponentials of a one-generator draw of n variates start.  Setting the
-    state of a generator kept for reuse costs about a tenth of a deep copy.
+    ``Generator.random`` takes one 64-bit output per double, so the copy
+    starts where ``gen.random(n)`` would leave ``gen``: where the
+    exponentials of a one-generator draw of n variates start.
     """
-    dst.bit_generator.state = src.bit_generator.state
-    dst.bit_generator.advance(n)
-    return dst
+    out = np.random.Generator(np.random.PCG64(0))
+    out.bit_generator.state = gen.bit_generator.state
+    out.bit_generator.advance(n)
+    return out
 
 
-def advanced(gen: np.random.Generator, n: int) -> np.random.Generator:
-    """A new generator positioned ``n`` uniform doubles after ``gen`` (see ``positioned``)."""
-    return positioned(np.random.Generator(np.random.PCG64(0)), gen, n)
+def piece_generators(gen: np.random.Generator, n: int, exps: bool = True,
+                     normals: bool = False):
+    """The (uniform, exponential, normal) generators that draw one ``gen`` draw in pieces.
+
+    One generator draws n uniforms (or, without ``exps``, n normals), then
+    n exponentials if ``exps``, then n normals if ``normals``.  Pieces of
+    any sizes that take each kind from its generator here, in order, give
+    that draw bit for bit.  The uniforms come from ``gen`` and the
+    exponentials from ``advanced(gen, n)``.  Exponentials and normals take
+    a variable number of outputs each, so the normals come from a copy of
+    the generator before them that draws and drops its n variates in
+    NOISE_BLOCK pieces.  The last generator ends where the one draw would
+    leave ``gen``.
+    """
+    exp_gen = advanced(gen, n) if exps else gen
+    if not normals:
+        return gen, exp_gen, exp_gen
+    normal_gen = advanced(exp_gen)
+    skip = normal_gen.standard_exponential if exps else normal_gen.standard_normal
+    for start in range(0, n, NOISE_BLOCK):
+        skip(min(NOISE_BLOCK, n - start))
+    return gen, exp_gen, normal_gen
 
 
 def draw_blocks(sample, n: int, row_shape: tuple[int, ...], gen: np.random.Generator):
@@ -109,13 +129,12 @@ def draw_blocks(sample, n: int, row_shape: tuple[int, ...], gen: np.random.Gener
 
     ``sample(shape, gen, exp_gen)`` draws as ``sample_standard_sas`` does.
     Each block holds NOISE_BLOCK variates' worth of rows (at least one) and
-    starts at row ``start``.  Its uniforms (or normals) come from ``gen`` and
-    its exponentials from ``advanced(gen, n * row size)``, so the blocks are
-    the one-call draw bit for bit, and the generator that drew last ends
-    where that call would leave ``gen``.
+    starts at row ``start``.  Its generators come from ``piece_generators``,
+    so the blocks are the one-call draw bit for bit, and the generator that
+    drew last ends where that call would leave ``gen``.
     """
     row_size = math.prod(row_shape)
-    exp_gen = advanced(gen, n * row_size)
+    gen, exp_gen, _ = piece_generators(gen, n * row_size)
     step = max(1, NOISE_BLOCK // row_size)
     for start in range(0, n, step):
         yield start, sample((min(step, n - start), *row_shape), gen, exp_gen)

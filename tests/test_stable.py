@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from levylab.convergence import GradientNoise
+from levylab import stable
 from levylab.errors import ParameterError
 from levylab.rng import RngStream
 from levylab.stable import (
@@ -14,6 +15,7 @@ from levylab.stable import (
     StableParams,
     advanced,
     draw_blocks,
+    piece_generators,
     sample_sas,
     sample_standard_sas,
     unit_jump_scale,
@@ -144,6 +146,33 @@ def test_blocked_draw_equals_one_shot_draw(name, row_shape, totals):
         assert [start for start, _ in pairs] == list(range(0, n, rows))
         blocks = [block for _, block in pairs]
         assert np.concatenate([reference[:0], *blocks]).tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("normals", [False, True])
+@pytest.mark.parametrize("row_shape", [(), (3,)])
+def test_pieces_draw_the_one_generator_draw(monkeypatch, alpha, normals, row_shape):
+    # one generator draws the stable variates' uniforms (or, at alpha 2,
+    # their normals), then their exponentials (drawn at alpha 1 too), then
+    # the normals; ragged pieces give those bytes, and a NOISE_BLOCK of 16
+    # makes the normals' replay take four pieces, the last ragged
+    monkeypatch.setattr(stable, "NOISE_BLOCK", 16)
+    sizes = (7, 1, 20, 13, 9)
+    rows = sum(sizes)
+    one = np.random.default_rng(36)
+    reference = [sample_standard_sas(alpha, (rows, *row_shape), one, one)]
+    if normals:
+        reference.append(one.standard_normal((rows, *row_shape)))
+    gen, exp_gen, normal_gen = piece_generators(np.random.default_rng(36),
+                                                rows * math.prod(row_shape), alpha < 2.0, normals)
+    pieces = [[], []]
+    for size in sizes:
+        pieces[0].append(sample_standard_sas(alpha, (size, *row_shape), gen, exp_gen))
+        if normals:
+            pieces[1].append(normal_gen.standard_normal((size, *row_shape)))
+    for drawn, ref in zip(pieces, reference):
+        assert np.concatenate(drawn).tobytes() == ref.tobytes()
+    assert normal_gen.bit_generator.state == one.bit_generator.state
 
 
 @pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5, 2.0])
