@@ -72,15 +72,6 @@ class MlpModel:
             slice(w.start, b.stop) for w, _, b in self._layout
         ]
 
-    def get_params(self) -> np.ndarray:
-        return self.params.copy()
-
-    def set_params(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != self.params.shape:
-            raise ShapeError(f"expected {self.params.shape}, got {flat.shape}")
-        self.params[...] = flat
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Logits for a batch of inputs (B, input_dim)."""
         h, _ = self._forward_cached(np.asarray(x, dtype=float))

@@ -121,6 +121,19 @@ def _convergence_rows(noise, gamma, seed):
 
 
 def test_convergence_rate():
+    """Slope of min_k E|grad f(w_k)|^2 against K, on an objective outside the theorem.
+
+    The rate is proved for an (M, gamma)-Hölder gradient.  The gradient of
+    ``quadratic(10)`` is linear, so it is not gamma-Hölder for any gamma <
+    1.  Under SaS(1.5) noise each iterate has tail index 1.5, so
+    |grad f(w_k)|^2 = |w_k|^2 has tail index 0.75 and an infinite mean at
+    every k >= 1: the replicate means estimate an infinite quantity, and
+    their minimum over k turns on the largest jumps drawn.  The slope check
+    failed at 13 of seeds 1-60 with the converge noise drawn from one
+    stream per K, and fails at 18 of them with its exponentials drawn from
+    a second one, so at seed 230 it measures that seed as much as the rate;
+    the bound check held at every seed.
+    """
     gamma = 0.4
     rows, sigma_gamma, gap = _convergence_rows(
         GradientNoise("sas", 1.5, 4.0), gamma, 230
@@ -173,7 +186,7 @@ def test_backprop_and_noise_pool():
         gen = RngStream(seed + 10).generator()
         x = gen.normal(0.0, 1.0, (8, 6))
         y = gen.integers(0, 4, 8)
-        flat = model.get_params()
+        flat = model.params.copy()
         for loss_kind in ("nll", "linear_hinge"):
             _, g, _ = forward_backward(model, x, y, loss_kind)
             fd = np.empty_like(flat)
@@ -181,10 +194,10 @@ def test_backprop_and_noise_pool():
                 for sign in (1.0, -1.0):
                     step = flat.copy()
                     step[i] += sign * 1e-5
-                    model.set_params(step)
+                    model.params[...] = step
                     v = forward_backward(model, x, y, loss_kind)[0]
                     fd[i] = v if sign > 0 else (fd[i] - v) / 2e-5
-            model.set_params(flat)
+            model.params[...] = flat
             worst = max(worst, np.linalg.norm(fd - g) / np.linalg.norm(g))
     data = synthetic_blobs(60, 4, 2, 1.0, RngStream(252))
     pool_model = init_mlp((4, 8, 2), RngStream(253))

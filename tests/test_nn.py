@@ -34,7 +34,7 @@ def test_parameter_count_matches_shapes(sizes):
     model = init_mlp(tuple(sizes), RngStream(130))
     expected = sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
     assert model.parameter_count == expected
-    assert model.get_params().shape == (expected,)
+    assert model.params.shape == (expected,)
 
 
 def test_layer_slices_partition_the_vector():
@@ -51,15 +51,6 @@ def test_single_layer_owns_whole_vector():
     model = init_mlp((5, 3), RngStream(132))
     slices = model.layer_slices()
     assert slices[1] == slices[0]
-
-
-def test_param_round_trip_and_shape_check():
-    model = init_mlp((3, 4, 2), RngStream(133))
-    flat = model.get_params()
-    model.set_params(flat * 2.0)
-    assert np.array_equal(model.get_params(), flat * 2.0)
-    with pytest.raises(ShapeError):
-        model.set_params(flat[:-1])
 
 
 def test_layers_are_views_of_the_parameter_vector():
@@ -129,17 +120,17 @@ def test_backprop_matches_finite_differences(loss_kind):
     x = gen.normal(0.0, 1.0, (5, 4))
     y = gen.integers(0, 3, 5)
     _, g, _ = forward_backward(model, x, y, loss_kind)
-    flat = model.get_params()
+    flat = model.params.copy()
     h = 1e-5
     fd = np.empty_like(flat)
     for i in range(flat.size):
         for sign, slot in ((1.0, 0), (-1.0, 1)):
             step = flat.copy()
             step[i] += sign * h
-            model.set_params(step)
+            model.params[...] = step
             val = forward_backward(model, x, y, loss_kind)[0]
             fd[i] = val if slot == 0 else (fd[i] - val) / (2.0 * h)
-    model.set_params(flat)
+    model.params[...] = flat
     assert np.linalg.norm(fd - g) / np.linalg.norm(g) < 1e-4
 
 
@@ -375,7 +366,7 @@ def test_overlapped_training_equals_serial(monkeypatch, iters, kwargs):
         rows = train_with_tail_logging(
             model, data, 12, 0.05, iters, "nll", RngStream(158), log_every=10, **kwargs
         )
-        runs.append(([r.csv_row() for r in rows], model.get_params(), set(step_threads)))
+        runs.append(([r.csv_row() for r in rows], model.params.copy(), set(step_threads)))
     (rows1, params1, threads1), (rows2, params2, threads2) = runs
     assert len(rows1) == len(range(0, iters, 10)) and rows1 == rows2
     assert np.array_equal(params1, params2)
@@ -403,13 +394,13 @@ def test_perfect_accuracy_stops_training(monkeypatch):
     # map each center onto its own logit so the start iterate is already perfect
     centers = np.stack([data.train_x[data.train_y == c][0] for c in range(2)])
     model.weights[0][...] = centers
-    before = model.get_params()
+    before = model.params.copy()
     rows = train_with_tail_logging(
         model, data, 4, 0.1, 50, "nll", RngStream(149), log_every=1
     )
     assert accuracy(model, data.train_x, data.train_y) == 1.0
     assert len(rows) == 1 and rows[0].train_acc == 1.0
-    assert np.array_equal(model.get_params(), before)
+    assert np.array_equal(model.params, before)
 
 
 def test_sweep_groups_merge_equal_ratios():
