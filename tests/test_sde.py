@@ -356,13 +356,28 @@ def test_linear_scan_outcomes_independent_of_tile_size_and_threads(monkeypatch):
 
 
 def test_per_step_outcomes_independent_of_tile_size_and_threads(monkeypatch):
-    # every tile split of TILE 1, 7 and 32 at 1, 2 and 3 CPUs on the quartic;
-    # the transition run's last chunk has one active lane, and the occupancy
-    # run's burn-in ends inside its second chunk.  Tiles are observed off the
-    # calling thread exactly when there are two CPUs or more and two lanes
+    # every tile split of TILE 1, 7 and 32 at 1, 2 and 3 CPUs on the quartic.
+    # A merge that retires every lane but lane 0 after the first block leaves
+    # one active lane in each of the three later chunks, whose path is its
+    # lone run's; the occupancy run's burn-in ends inside its second chunk.
+    # Tiles are observed off the calling thread exactly when there are two
+    # CPUs or more and two lanes
     trans_config = SdeConfig(eta=0.01, epsilon=0.2, alpha=1.2, w0=(-1.0,), max_steps=12_000)
     occ_config = SdeConfig(eta=0.01, epsilon=0.3, alpha=1.2, w0=(-1.0,), max_steps=6000)
     spec = double_well(-1.0, 2.0)
+    streams = [RngStream(153).substream(r) for r in range(40)]
+    lone = simulate(trans_config, spec, streams[0])
+    assert not lone.diverged
+    path = np.empty_like(lone.points[1:])
+
+    def first_lane(done, W, finite):
+        return W[0].copy()
+
+    def keep_lane_0(lanes, done, result):
+        if lanes[0] == 0:
+            path[done : done + result.shape[0]] = result
+        return lanes != 0
+
     observe = sde._observe
     active, on_main = {}, set()
 
@@ -378,9 +393,12 @@ def test_per_step_outcomes_independent_of_tile_size_and_threads(monkeypatch):
         for threads in (1, 2, 3):
             _threads(monkeypatch, threads)
             active.clear()
+            path[:] = np.nan
+            sde._run_lanes(trans_config, spec, streams, first_lane, keep_lane_0)
+            assert active == {0: 40, 3000: 1, 6000: 1, 9000: 1}
+            assert path.tobytes() == lone.points[1:].tobytes()
             on_main.clear()
             transitions = first_transition_ensemble(trans_config, spec, 0.2, RngStream(153), 40)
-            assert 0 < active[max(active)] < 3
             occupancy = occupancy_ensemble(occ_config, spec, RngStream(141), 40, burn_in=4000)
             assert on_main == {threads == 1}
             on_main.clear()
