@@ -108,5 +108,5 @@ with tempfile.TemporaryDirectory() as out:
     Path(out, "occupancy_study.csv").write_text(occ.header() + "\n" + occ.csv_row() + "\n")
     for path in sorted(Path(out).iterdir()):
         lines = [ln for ln in path.read_text().splitlines(keepends=True)
-                 if not ln.lstrip().startswith(("# wall_time_s", '"wall_time_s"'))]
+                 if not ln.startswith("# wall_time_s")]
         print(f"{hashlib.sha256(''.join(lines).encode()).hexdigest()}  {path.name}")

@@ -16,9 +16,10 @@ key moved off its default, or left at it), each key it leaves unread must
 stay at its default, so the provenance records no setting that had no
 effect, and each key it requires must be given.
 
-Every result file opens with a provenance block (command, config hash,
-seed, the full resolved configuration, wall time).  Payloads are
-byte-reproducible for a fixed config; only the wall-time line varies.
+Every command writes one CSV table behind a provenance block (command,
+config hash, seed, the full resolved configuration, wall time) whose values
+go through ``csvfmt.format_cell``.  Payloads are byte-reproducible for a
+fixed config; only the wall-time line varies.
 Exit status: 0 success, 2 configuration error, 3 finished-but-partial
 (divergence above max_diverged_fraction; results are written and flagged).
 """
@@ -44,7 +45,7 @@ from .convergence import (
     fitted_rate_slope,
     run_convergence,
 )
-from .csvfmt import format_cell
+from .csvfmt import format_cell, format_row
 from .datasets import DatasetSplit, load_mnist_idx, synthetic_blobs
 from .errors import ConfigError, DegenerateInputError, ParameterError, ShapeError
 from .metastability import solved_model
@@ -243,14 +244,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """CSV header, rows, comment trailer and extra (path, header, rows) file, or JSON."""
+    """CSV header, rows, comment trailer and extra (path, header, rows) file."""
 
-    header: str = ""
-    rows: tuple[str, ...] | list[str] = ()
+    header: str
+    rows: tuple[str, ...] | list[str]
     partial: bool = False
     extra: tuple[str, str, list[str]] | None = None
     trailer: tuple[str, ...] | list[str] = ()
-    document: dict | None = None
 
 
 def _read_bool(text: str) -> bool:
@@ -348,8 +348,7 @@ def parse_config(
         for key in rule.required:
             if key not in moved:
                 raise ConfigError(f"{command}: key '{key}' is required when {label}")
-    suffix = "json" if command == "metastability" else "csv"
-    output = params.pop("output") or f"{command}.{suffix}"
+    output = params.pop("output") or f"{command}.csv"
     return ExperimentConfig(command=command, parameters=params, output_path=output)
 
 
@@ -406,15 +405,6 @@ def _write_csv(path: str, config: ExperimentConfig, wall: float, result: RunResu
     lines += [result.header, *result.rows, *result.trailer]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _write_json(path: str, config: ExperimentConfig, wall: float, document: dict) -> None:
-    p = config.parameters
-    provenance = {"command": config.command, "config_hash": config_hash(config),
-                  "seed": p["seed"], "parameters": p, "wall_time_s": round(wall, 3)}
-    with open(path, "w") as fh:
-        json.dump({"provenance": provenance, "result": document}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def _build_objective(config: ExperimentConfig):
@@ -570,7 +560,10 @@ def _run_sweep(config: ExperimentConfig):
 def _run_metastability(config: ExperimentConfig):
     p = config.parameters
     model = solved_model(tuple(p["minima"]), tuple(p["saddles"]), p["alpha"])
-    return RunResult(document=model.as_dict())
+    q_cols = [f"q_{j}" for j in range(len(model.pi))]
+    rows = [format_row(i, float(m), float(model.pi[i]), *map(float, model.Q[i]))
+            for i, m in enumerate(model.minima)]
+    return RunResult(",".join(["valley", "minimum", "pi", *q_cols]), rows)
 
 
 _RUNNERS = {
@@ -628,13 +621,9 @@ def main(argv: list[str] | None = None) -> int:
         config = parse_config(file_text, command_override=command, overrides=flags)
         _check_output_dirs(config)
         start = time.monotonic()
-        out_path = _resolve_path(config.output_path)
         result = _RUNNERS[config.command](config)
         wall = time.monotonic() - start
-        if result.document is not None:
-            _write_json(out_path, config, wall, result.document)
-        else:
-            _write_csv(out_path, config, wall, result)
+        _write_csv(_resolve_path(config.output_path), config, wall, result)
         if result.extra is not None:
             path, header, rows = result.extra
             _write_csv(_resolve_path(path), config, wall, RunResult(header, rows, result.partial))

@@ -42,17 +42,6 @@ class MarkovChainModel:
     Q: np.ndarray
     pi: np.ndarray | None = None
 
-    def as_dict(self) -> dict:
-        out = {
-            "minima": [float(m) for m in self.minima],
-            "saddles": [float(s) for s in self.saddles],
-            "alpha": float(self.alpha),
-            "Q": [[float(v) for v in row] for row in self.Q],
-        }
-        if self.pi is not None:
-            out["pi"] = [float(p) for p in self.pi]
-        return out
-
 
 def _boundary_term(s: float, m: float, alpha: float) -> float:
     if math.isinf(s):

@@ -117,10 +117,10 @@ def _loss_grad_logits(logits: np.ndarray, y: np.ndarray, loss_kind: str):
     rows = np.arange(B)
     if loss_kind == "nll":
         shifted = logits - logits.max(axis=1, keepdims=True)
-        logz = np.log(np.exp(shifted).sum(axis=1))
-        loss = float(np.mean(logz - shifted[rows, y]))
-        p = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-        d = p
+        d = np.exp(shifted)
+        total = d.sum(axis=1, keepdims=True)
+        loss = float(np.mean(np.log(total[:, 0]) - shifted[rows, y]))
+        d /= total
         d[rows, y] -= 1.0
         return loss, d / B
     if loss_kind == "linear_hinge":

@@ -169,17 +169,20 @@ def test_error_record_is_machine_readable(tmp_path, monkeypatch, capsys):
     assert "needs a value" in json.loads(capsys.readouterr().err)["message"]
 
 
-def test_metastability_json_output(tmp_path, monkeypatch):
+def test_metastability_csv_output(tmp_path, monkeypatch):
     monkeypatch.setenv("LEVYLAB_OUT", str(tmp_path))
     assert main(
         ["metastability", "--minima", "-1,2", "--saddles", "0", "--alpha", "1.0"]
     ) == 0
-    payload = json.loads((tmp_path / "metastability.json").read_text())
-    assert payload["provenance"]["command"] == "metastability"
-    assert payload["provenance"]["parameters"]["alpha"] == 1.0
-    pi = payload["result"]["pi"]
-    assert pi[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert pi[1] == pytest.approx(2.0 / 3.0, abs=1e-12)
+    comments, body = _read(tmp_path / "metastability.csv")
+    assert comments[0] == "# levylab metastability"
+    assert "# alpha = 1.0" in comments
+    assert body[0] == "valley,minimum,pi,q_0,q_1"
+    rows = [[float(cell) for cell in line.split(",")] for line in body[1:]]
+    assert [row[:2] for row in rows] == [[0, -1.0], [1, 2.0]]
+    assert [row[2] for row in rows] == pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=1e-12)
+    assert rows[0][3:] == pytest.approx([-1.0, 1.0])
+    assert rows[1][3:] == pytest.approx([0.5, -0.5])
 
 
 def test_metastability_wall_time_covers_the_solve(tmp_path, monkeypatch):
@@ -196,8 +199,9 @@ def test_metastability_wall_time_covers_the_solve(tmp_path, monkeypatch):
     assert main(
         ["metastability", "--minima", "-1,2", "--saddles", "0", "--alpha", "1.0"]
     ) == 0
-    payload = json.loads((tmp_path / "metastability.json").read_text())
-    assert payload["provenance"]["wall_time_s"] >= 0.05
+    comments, _ = _read(tmp_path / "metastability.csv")
+    wall = [c for c in comments if c.startswith("# wall_time_s = ")]
+    assert len(wall) == 1 and float(wall[0].partition(" = ")[2]) >= 0.05
 
 
 def test_exit_time_records_file(tmp_path, monkeypatch):
@@ -300,7 +304,7 @@ def test_every_csv_cell_follows_the_format_rules(tmp_path, monkeypatch, command)
     monkeypatch.setenv("LEVYLAB_OUT", str(tmp_path))
     assert main([command, *_TINY[command].split(), "--seed", "3"]) in (0, 3)
     paths = sorted(tmp_path.glob("*.csv"))
-    assert paths or command == "metastability"
+    assert paths
     for path in paths:
         comments, body = _read(path)
         header = body[0].split(",")

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -11,7 +10,6 @@ from levylab.metastability import (
     exit_rate,
     expected_exit_time,
     generator_matrix,
-    solved_model,
     stationary_distribution,
 )
 
@@ -169,11 +167,3 @@ def test_exit_law_refuses_a_bad_dimension(dim):
         exit_rate(1.0, 1.5, dim=dim)
     with pytest.raises(ParameterError, match="dim"):
         expected_exit_time(1.0, 0.1, 1.5, dim=dim)
-
-
-def test_model_as_dict_survives_json():
-    model = solved_model((-1.0, 2.0), (0.0,), 1.0)
-    payload = json.loads(json.dumps(model.as_dict()))
-    assert payload["pi"] == pytest.approx([1.0 / 3.0, 2.0 / 3.0])
-    assert payload["minima"] == [-1.0, 2.0]
-    assert len(payload["Q"]) == 2

@@ -58,6 +58,23 @@ def _slow_drift():
                          linear_drift=(0.05, 0.0))
 
 
+def _lane_0_path(config, spec, streams):
+    """Lane 0's path in a ``_run_lanes`` run whose merge retires every other
+    lane after the first block (NaN at steps it did not observe)."""
+    path = np.full((config.max_steps, config.dim), np.nan)
+
+    def first_lane(done, W, finite):
+        return W[0].copy()
+
+    def keep_lane_0(lanes, done, result):
+        if lanes[0] == 0:
+            path[done : done + result.shape[0]] = result
+        return lanes != 0
+
+    sde._run_lanes(config, spec, streams, first_lane, keep_lane_0)
+    return path
+
+
 def _declared_fast(monkeypatch, *args):
     """Exit records of a run that must take the exact linear scan."""
 
@@ -323,12 +340,17 @@ def test_exit_records_at_tile_edges_equal_lone_runs(monkeypatch, threads):
 
 
 def test_linear_scan_outcomes_independent_of_tile_size_and_threads(monkeypatch):
-    # every tile split of TILE 1, 7 and 32 at 1, 2 and 3 CPUs; the exit run's
-    # lanes carry their positions over five chunks, the last with fewer
-    # active lanes than CPUs, and about a quarter of the occupancy lanes
-    # overflow in the exact scan
+    # every tile split of TILE 1, 7 and 32 at 1, 2 and 3 CPUs.  A merge that
+    # retires every lane but lane 0 after the first block leaves one active
+    # lane, fewer than the CPUs, in each of the four later chunks, whose path
+    # is its lone run's; the exit run's lanes carry their positions over
+    # chunks, and about a quarter of the occupancy lanes overflow in the
+    # exact scan
     exit_config = _cfg(eta=0.01, epsilon=0.05, alpha=1.5, w0=(0.0,), max_steps=15_000)
     occ_config = SdeConfig(eta=0.01, epsilon=1e294, alpha=0.8, w0=(0.0,), max_steps=3500)
+    streams = [RngStream(127).substream(r) for r in range(40)]
+    lone = simulate(exit_config, _slow_drift(), streams[0])
+    assert not lone.diverged
     fill = sde._fill_and_scan
     active = {}
 
@@ -343,9 +365,11 @@ def test_linear_scan_outcomes_independent_of_tile_size_and_threads(monkeypatch):
         for threads in (1, 2, 3):
             _threads(monkeypatch, threads)
             active.clear()
+            path = _lane_0_path(exit_config, _slow_drift(), streams)
+            assert active == {0: 40, 3000: 1, 6000: 1, 9000: 1, 12000: 1}
+            assert path.tobytes() == lone.points[1:].tobytes()
             records = first_exit_ensemble(exit_config, _slow_drift(), 0.0, 0.6,
                                           RngStream(127), 40)
-            assert 0 < active[max(active)] < 3
             runs.append((records, occupancy_ensemble(occ_config, quadratic(1),
                                                      RngStream(130), 40)))
     records, (frac, n_div) = runs[0]
@@ -368,16 +392,6 @@ def test_per_step_outcomes_independent_of_tile_size_and_threads(monkeypatch):
     streams = [RngStream(153).substream(r) for r in range(40)]
     lone = simulate(trans_config, spec, streams[0])
     assert not lone.diverged
-    path = np.empty_like(lone.points[1:])
-
-    def first_lane(done, W, finite):
-        return W[0].copy()
-
-    def keep_lane_0(lanes, done, result):
-        if lanes[0] == 0:
-            path[done : done + result.shape[0]] = result
-        return lanes != 0
-
     observe = sde._observe
     active, on_main = {}, set()
 
@@ -393,8 +407,7 @@ def test_per_step_outcomes_independent_of_tile_size_and_threads(monkeypatch):
         for threads in (1, 2, 3):
             _threads(monkeypatch, threads)
             active.clear()
-            path[:] = np.nan
-            sde._run_lanes(trans_config, spec, streams, first_lane, keep_lane_0)
+            path = _lane_0_path(trans_config, spec, streams)
             assert active == {0: 40, 3000: 1, 6000: 1, 9000: 1}
             assert path.tobytes() == lone.points[1:].tobytes()
             on_main.clear()
