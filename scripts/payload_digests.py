@@ -6,7 +6,7 @@ its header and row are hashed as `occupancy_study.csv`.  The 33-replicate
 quadratic exit-time run splits into two lane tiles of unequal size (17 and
 16 on two CPUs), and its second chunk into two tiles of two lanes; the
 33-replicate double-well run takes the per-step scan over two
-chunks, with its noise fill split into shares of an odd number of lanes.
+chunks, one task filling and one observing each of its lane tiles.
 The `exit-brownian` run adds a Brownian part to the stable noise, so each
 lane draws its normals after its stable block.  The per-step engine holds
 a chunk in pieces of 2**19 variates: the first 8192-step chunks of the

@@ -79,6 +79,8 @@ _KS = (lambda v: len(set(v)) >= 2 and min(v) >= 1,
 # once, in the group below that holds it; keys whose default differs by command
 # stay in the command.
 _COMMON = {"seed": ("int", 0), "output": ("str", "")}
+_PARTIAL = {"max_diverged_fraction": ("float", 0.5, (lambda v: 0.0 <= v <= 1.0,
+                                                     "must lie in [0, 1]"))}
 _SAS = {"alpha": ("float", _REQUIRED), "sigma": ("float", 1.0), "n": ("int", _REQUIRED)}
 _WELL = {
     "m1": ("float", -1.0),
@@ -92,7 +94,6 @@ _VALLEY_RUN = {
     "eta": ("float", 1e-3),
     "noise_scaling": (("jump", "cf"), "jump"),
     "time_cap_factor": ("float", 8.0),
-    "max_diverged_fraction": ("float", 0.5),
     "records_output": ("str", ""),
 }
 _DATA = {
@@ -104,7 +105,7 @@ _DATA = {
     "labels": ("str", ""),
     "test_images": ("str", ""),
     "test_labels": ("str", ""),
-    "subsample": ("int", 0),
+    "subsample": ("int", 0, _NON_NEGATIVE),
 }
 
 SCHEMAS: dict[str, dict[str, tuple]] = {
@@ -122,6 +123,7 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         **_COMMON,
         **_WELL,
         **_VALLEY_RUN,
+        **_PARTIAL,
         "objective": (("quadratic", "double_well"), "quadratic"),
         "dim": ("int", 1),
         "a": ("float", _REQUIRED),
@@ -132,6 +134,7 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         **_COMMON,
         **_WELL,
         **_VALLEY_RUN,
+        **_PARTIAL,
         "delta": ("float", 0.2),
         "reps": ("int", 300),
     },
@@ -143,6 +146,7 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
     },
     "converge": {
         **_COMMON,
+        **_PARTIAL,
         "noise": (("sas", "gaussian"), "sas"),
         "alpha": ("float", 1.5),
         "gamma": ("float", 0.0, _NON_NEGATIVE),
@@ -151,12 +155,11 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "w0_scale": ("float", 4.0),
         "ks": ("list_int", (100, 1000, 10000), _KS),
         "reps": ("int", 100, _AT_LEAST_ONE),
-        "m_const": ("float", 1.0),
+        "m_const": ("float", 1.0, (lambda v: v > 0.0, "must be > 0")),
         "sigma_gamma": ("float", 0.0, _NON_NEGATIVE),
         "c": ("float", 0.0, _NON_NEGATIVE),
         "eta": ("float", 0.0, _NON_NEGATIVE),
         "sigma_samples": ("int", 20000),
-        "max_diverged_fraction": ("float", 0.5),
     },
     "train": {
         **_COMMON,
@@ -177,15 +180,15 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
     "sweep": {
         **_COMMON,
         **_DATA,
+        **_PARTIAL,
         "n": ("int", 2000),
         "widths": ("list_int", _REQUIRED),
         "depths": ("list_int", (2,)),
         "batch_sizes": ("list_int", _REQUIRED),
         "etas": ("list_float", _REQUIRED),
         "loss": (LOSS_KINDS, "nll"),
-        "iters": ("int", 300),
+        "iters": ("int", 300, _AT_LEAST_ONE),
         "groups_output": ("str", "sweep_groups.csv"),
-        "max_diverged_fraction": ("float", 0.5),
     },
 }
 
@@ -383,19 +386,23 @@ def _resolve_path(path: str) -> str:
 
 
 def _check_output_dirs(config: ExperimentConfig) -> None:
-    """Refuse a run whose output files (``output``, then ``records_output`` or
-    ``groups_output`` when set) would land in a missing directory, or whose
-    extra file is the ``output`` file."""
+    """Refuse a run whose output files (``output``, then ``records_output`` when
+    set, and ``groups_output``, which ``sweep`` always writes) would land in a
+    missing directory or on an existing one, or whose extra file is the
+    ``output`` file."""
     p = config.parameters
-    extra = [k for k in ("records_output", "groups_output") if p.get(k)]
+    # an empty records_output writes no file; sweep writes groups_output always
+    extra = [k for k in p if k == "groups_output" or k == "records_output" and p[k]]
     output = os.path.realpath(_resolve_path(config.output_path))
     for key in extra:
         if os.path.realpath(_resolve_path(p[key])) == output:
             raise ConfigError(f"{config.command}: key '{key}' names the output file {p[key]!r}")
-    for path in (config.output_path, *(p[k] for k in extra)):
+    for key, path in (("output", config.output_path), *((k, p[k]) for k in extra)):
         folder = os.path.dirname(_resolve_path(path)) or "."
         if not os.path.isdir(folder):
             raise ConfigError(f"output directory {folder!r} of {path!r} does not exist")
+        if os.path.isdir(_resolve_path(path)):
+            raise ConfigError(f"{config.command}: key '{key}' names a directory, {path!r}")
 
 
 def _write_csv(path: str, config: ExperimentConfig, wall: float, result: RunResult) -> None:
@@ -530,7 +537,7 @@ def _run_train(config: ExperimentConfig):
     p = config.parameters
     injection = None
     if p["inject_alpha"] > 0.0:
-        injection = GradientNoise("sas", p["inject_alpha"], p["inject_scale"])
+        injection = StableParams(p["inject_alpha"], p["inject_scale"])
     rng = RngStream(p["seed"])
     data = _load_data(config, rng.substream(1))
     sizes = (data.input_dim, *([p["width"]] * (p["depth"] - 1)), data.n_classes)

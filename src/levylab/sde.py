@@ -11,32 +11,22 @@ independently per component.  The eta**(1/alpha) factor makes the stable
 term an exact increment of the driving motion over a step of length eta, so
 a finer step discretizes the same continuous-time process.
 
-One chunked engine advances every simulation: lanes move in lockstep, each
-on its own substream, and an observer (first exit, first transition, valley
-counts, stored path) sees each block of steps once.  Each block's lanes
-split into near-equal tiles of at most TILE lanes, at least one per usable
-CPU, and one task per tile on the shared pool of ``parallel`` (one thread
-per usable CPU) reduces the tile's positions to a small result; the
-calling thread merges those results in lane order.  A lane's path depends on its stream
+One chunked engine, ``_run_lanes``, advances every simulation: lanes move
+in lockstep, each on its own substream, and an observer (first exit, first
+transition, valley counts, stored path) sees each block of steps once, in
+lane tiles on the shared pool of ``parallel``; ``_run_lanes`` describes the
+chunk, piece, tile and fill layout.  A lane's path depends on its stream
 and on its chunk lengths, which CHUNK_CAP, eta and max_steps set, so it is
 reproducible per replicate and the same at any ensemble size, tile split
 and thread count.  A chunk draws all its uniforms, then all its
 exponentials, so a step cap that changes a chunk's length changes the
 path; an exit radius never moves the path (enlarging one can only delay
 the recorded exit on the same path).  A chunk is scanned exactly when the
-objective declares linear drift with 0 < 1 - eta*rate < 1, and then each
-tile task also fills and scans its own tile first; the block is the chunk.
-Otherwise the per-step update holds a chunk time-major in pieces of at most
-BUDGET variates, each one (rows, A, d) block: one pool task per usable CPU
-fills the noise of a contiguous share of the lanes, the calling thread
-steps the rows, the tile tasks reduce the block's column ranges without
-copying them, and lanes that are done retire before the next piece.  A
-lane's pieces draw its chunk's bytes by ``stable.piece_generators``, and
-at the chunk end the lane goes on with the generator that drew last.
-``simulate`` is a one-lane ensemble and scans the same way.  Extreme draws
-are never truncated; an iterate that leaves float range halts its path
-with a divergence marker, which exit measurements count separately and
-never silently merge into exit statistics.
+objective declares linear drift with 0 < 1 - eta*rate < 1, and stepped
+row by row otherwise.  ``simulate`` is a one-lane ensemble and scans the
+same way.  Extreme draws are never truncated; an iterate that leaves float
+range halts its path with a divergence marker, which exit measurements
+count separately and never silently merge into exit statistics.
 """
 
 from __future__ import annotations
@@ -209,6 +199,12 @@ def _observe(W, reduce, done):
     return W[:, -1].copy(), reduce(done, W, finite), ~finite.all(axis=1)
 
 
+def _fill(config, draws, lanes, W):
+    """Draw lane ``lanes[i]``'s noise into ``W[i]`` of the lane-major (A, L, d) block or view W."""
+    for i, rid in enumerate(lanes):
+        W[i] = noise_increments(config, W.shape[1], *draws[rid])
+
+
 def _fill_and_scan(config, draws, lanes, wa, L, scan, reduce, done, scratch):
     """Noise fill, scan and observation of one tile, whose (A, L, d) block stays here.
 
@@ -221,32 +217,27 @@ def _fill_and_scan(config, draws, lanes, wa, L, scan, reduce, done, scratch):
     if getattr(scratch, "buf", np.empty(0)).size < n:
         scratch.buf = np.empty(n)
     W = scratch.buf[:n].reshape(lanes.size, L, config.dim)
-    for i, rid in enumerate(lanes):
-        W[i] = noise_increments(config, L, *draws[rid])
+    _fill(config, draws, lanes, W)
     scan(W, wa)
     return _observe(W, reduce, done)
 
 
-def _fill_columns(config, draws, lanes, P, cols):
-    """Draw the noise of lanes[cols] into their (disjoint) columns of the (L, A, d) block P."""
-    for k in cols:
-        P[:, k] = noise_increments(config, P.shape[0], *draws[lanes[k]])
+def _fill_and_step(pool, config, draws, tiles, wa, L, spec, reduce, done):
+    """The per-step piece of the lanes of ``tiles``: one ``_observe`` result per tile.
 
-
-def _fill_and_step(pool, workers, config, draws, lanes, wa, L, spec, reduce, done, spans):
-    """The per-step piece of all ``lanes``: one ``_observe`` result per (start, end) column span.
-
-    Each span's tile is a basic slice of the (L, A, d) block, viewed lane
-    major, so no tile is copied.  The block is local and the results share
-    no memory with it, so it is freed before the next piece allocates its own.
+    Each tile's block is a basic slice of the (L, A, d) block, viewed lane
+    major, which one task fills and, after the rows are stepped, one task
+    observes, so no tile is copied.  The block is local and the results
+    share no memory with it, so it is freed before the next piece allocates
+    its own.
     """
-    P = np.empty((L, lanes.size, config.dim))
-    shares = np.array_split(np.arange(lanes.size), min(workers, lanes.size))
-    list(parallel.run_tasks(pool, _fill_columns, [(config, draws, lanes, P, cols)
-                                                  for cols in shares]))
+    P = np.empty((L, wa.shape[0], config.dim))
+    views = [V.transpose(1, 0, 2)
+             for V in np.split(P, np.cumsum([lanes.size for lanes in tiles])[:-1], axis=1)]
+    list(parallel.run_tasks(pool, _fill, [(config, draws, lanes, W)
+                                          for lanes, W in zip(tiles, views)]))
     _scan_chunk_generic(P, wa, spec, config.eta)
-    return list(parallel.run_tasks(pool, _observe, [(P[:, s:e].transpose(1, 0, 2), reduce, done)
-                                                    for s, e in spans]))
+    return list(parallel.run_tasks(pool, _observe, [(W, reduce, done) for W in views]))
 
 
 def _run_lanes(config, spec, streams, reduce, merge):
@@ -262,23 +253,24 @@ def _run_lanes(config, spec, streams, reduce, merge):
     it is done with.  Lanes that reach a non-finite iterate retire too.
 
     A block's A active lanes split into max(ceil(A / TILE), min(workers, A))
-    near-equal tiles, and one task per tile observes it, returning only its
-    last row, its result and its divergence mask.  Under the linear scan
-    the block is the whole chunk, and the same task first fills and scans
-    the tile.  The per-step scan holds a chunk time-major, in pieces of
-    max(1, BUDGET // (A * d)) steps, with A the lanes active at the chunk
-    start: each piece is one (rows, A, d) block, whose noise is filled
-    first, lane by lane into its columns, by one task per contiguous share
-    of the lanes; the calling thread then steps the rows, the tile tasks
-    observe the block's column ranges, and the merge retires lanes before
-    the next piece, so a lane that stops draws no further piece.  A chunk
-    in one piece takes all three of noise_increments' generators from the
-    lane's generator; in more, they come from ``stable.piece_generators``,
-    so the pieces draw the chunk exactly as one piece would, and at the
-    chunk end the lane goes on with the generator that drew last.  Tasks
-    run on one thread per usable CPU when there are two or more and at
-    least two lanes.  The next block starts only after every result is
-    merged, so a lane's generators are used by one thread at a time.
+    near-equal tiles, with workers the usable CPUs, and one task per tile
+    observes it, returning only its last row, its result and its divergence
+    mask.  Under the linear scan the block is the whole chunk, and the same
+    task first fills and scans the tile in a per-thread buffer.  The
+    per-step scan holds a chunk time-major, in pieces of max(1, BUDGET //
+    (A * d)) steps, with A the lanes active at the chunk start: each piece
+    is one (rows, A, d) block, and each tile is a lane-major view of its
+    columns, which one task fills lane by lane; the calling thread then
+    steps the rows, one task per tile observes the same view, and the merge
+    retires lanes before the next piece, so a lane that stops draws no
+    further piece.  A chunk in one piece takes all three of
+    noise_increments' generators from the lane's generator; in more, they
+    come from ``stable.piece_generators``, so the pieces draw the chunk
+    exactly as one piece would, and at the chunk end the lane goes on with
+    the generator that drew last.  Tasks run on one thread per usable CPU
+    when there are two or more and at least two lanes.  The next block
+    starts only after every result is merged, so a lane's generators are
+    used by one thread at a time.
     """
     if spec.dim != config.dim:
         raise ParameterError(f"objective dim {spec.dim} != config dim {config.dim}")
@@ -312,9 +304,8 @@ def _run_lanes(config, spec, streams, reduce, merge):
                 tiles = np.array_split(active, max(-(-active.size // TILE),
                                                    min(workers, active.size)))
                 if drift is None:
-                    edges = np.cumsum([0] + [lanes.size for lanes in tiles])
-                    results = _fill_and_step(pool, workers, config, draws, active, w[active], n,
-                                             spec, reduce, start, zip(edges[:-1], edges[1:]))
+                    results = _fill_and_step(pool, config, draws, tiles, w[active], n,
+                                             spec, reduce, start)
                 else:
                     results = parallel.run_tasks(
                         pool, _fill_and_scan,

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convergence import GradientNoise
 from .csvfmt import CsvRecord, format_row
 from .datasets import DatasetSplit
 from .errors import DegenerateInputError, ParameterError
@@ -31,7 +30,7 @@ from .mlp import MlpModel, accuracy, forward_backward, hit_rate, init_mlp
 from .parallel import run_tasks, task_pool
 from .rng import RngStream
 from .stability import stability_condition
-from .stable import draw_blocks
+from .stable import StableParams, sample_sas
 from .tail_index import TailEstimate, choose_block_size, estimate_alpha
 
 
@@ -116,15 +115,16 @@ def train_with_tail_logging(
     rng: RngStream,
     log_every: int = 100,
     measure_c_st: bool = False,
-    injection: GradientNoise | None = None,
+    injection: StableParams | None = None,
 ) -> list[TrainLogRow]:
     """Plain constant-stepsize SGD, logging tail metrics every log_every steps.
 
     No momentum or weight decay.  Logging happens before the update at that
     iteration; training stops early once a logging step sees 100% train
     accuracy.  Fixed streams make the row sequence deterministic.  With
-    ``injection`` set, each logging step measures draws of that noise in place
-    of the minibatch deviations, so the estimators see a pool of known alpha.
+    ``injection`` set, each logging step measures SaS draws of that law in
+    place of the minibatch deviations, so the estimators see a pool of known
+    alpha.
     """
     if not 0.0 < eta < math.inf:
         raise ParameterError(f"eta must be positive and finite, got {eta}")
@@ -150,11 +150,9 @@ def train_with_tail_logging(
                 model, data.train_x, data.train_y, loss_kind
             )
             train_acc = hit_rate(logits, data.train_y)
-            deviations = np.empty((data.n_train // b, g_full.size))
-            flat = deviations.reshape(-1)  # one draw of the whole pool, made in blocks
-            gen = log_stream.substream(k, 0).generator()
-            for start, block in draw_blocks(injection.sample, flat.size, (), gen):
-                flat[start:start + block.size] = block
+            shape = (data.n_train // b, g_full.size)
+            deviations = sample_sas(injection, math.prod(shape),
+                                    log_stream.substream(k, 0)).reshape(shape)
             deviations += g_full  # injected gradients, rounded like minibatch ones
         deviations -= g_full
         test_acc = accuracy(model, data.test_x, data.test_y)

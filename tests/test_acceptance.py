@@ -25,7 +25,7 @@ from levylab.mlp import forward_backward, init_mlp
 from levylab.objectives import double_well, quadratic
 from levylab.rng import RngStream
 from levylab.stability import stability_condition
-from levylab.stable import sample_standard_sas
+from levylab.stable import StableParams, sample_standard_sas
 from levylab.studies import exit_time_study, occupancy_study
 from levylab.tail_index import estimate_alpha
 from levylab.training import noise_pool_grads, train_with_tail_logging
@@ -224,7 +224,7 @@ def test_desk_scale_training_tails():
     inj_model = init_mlp((20, 128, 128, 10), RngStream(264))
     inj_rows = train_with_tail_logging(
         inj_model, data, 100, 0.1, 1, "nll", RngStream(273),
-        log_every=1, injection=GradientNoise("sas", 1.3),
+        log_every=1, injection=StableParams(1.3),
     )
     inj_alpha = inj_rows[0].alpha_whole
     ok = alphas.max() < 1.8 and spread <= 0.3 and abs(inj_alpha - 1.3) <= 0.1

@@ -421,6 +421,12 @@ _BAD_INPUTS = [
     ("converge", "ks", "20,-40", "ConfigError",
      "converge: key 'ks' needs two or more distinct K values, each >= 1, to fit a slope"),
     ("converge", "reps", "0", "ConfigError", "converge: key 'reps' must be >= 1, got 0"),
+    ("sweep", "iters", "-5", "ConfigError", "sweep: key 'iters' must be >= 1, got -5"),
+    *[(cmd, "max_diverged_fraction", "-1", "ConfigError",
+       f"{cmd}: key 'max_diverged_fraction' must lie in [0, 1], got -1.0")
+      for cmd in ("exit-time", "transition", "converge", "sweep")],
+    ("train", "subsample", "-3", "ConfigError", "train: key 'subsample' must be >= 0, got -3"),
+    ("converge", "m_const", "0", "ConfigError", "converge: key 'm_const' must be > 0, got 0.0"),
 ]
 
 
@@ -509,6 +515,32 @@ def test_missing_output_directory_fails_before_the_run(tmp_path, monkeypatch, ca
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "ConfigError" and "missing" in record["message"]
     assert "does not exist" in record["message"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        pytest.param("estimate --alpha 1.5 --n 10 --output .", "output", id="output-dot"),
+        pytest.param("estimate --alpha 1.5 --n 10 --output {out}", "output", id="output-abs"),
+        pytest.param(f"{_EXIT} --records_output .", "records_output", id="records_output"),
+        pytest.param(f"{_SWEEP} {_BLOBS} --groups_output=", "groups_output",
+                     id="groups_output-empty"),
+    ],
+)
+def test_output_naming_a_directory_fails_before_the_run(tmp_path, monkeypatch, capsys,
+                                                        argv, key):
+    import levylab.cli as cli
+
+    def no_run(config):
+        raise AssertionError("the run started before its output paths were checked")
+
+    monkeypatch.setitem(cli._RUNNERS, argv.split()[0], no_run)
+    monkeypatch.setenv("LEVYLAB_OUT", str(tmp_path))
+    assert main(argv.format(out=tmp_path).split()) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert f"key '{key}' names a directory" in record["message"]
     assert not list(tmp_path.iterdir())
 
 

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from levylab import parallel, stable, training
-from levylab.convergence import GradientNoise
 from levylab.datasets import synthetic_blobs
 from levylab.errors import ParameterError, ShapeError
 from levylab.mlp import MlpModel, _loss_grad_logits, accuracy, forward_backward, init_mlp
@@ -299,7 +298,7 @@ def test_injection_recovers_planted_alpha():
     model = init_mlp((10, 64, 64, 2), RngStream(143))
     rows = train_with_tail_logging(
         model, data, 10, 0.01, 1, "nll", RngStream(144),
-        log_every=1, injection=GradientNoise("sas", 1.3, 1.0),
+        log_every=1, injection=StableParams(1.3, 1.0),
     )
     assert len(rows) == 1
     assert rows[0].alpha_whole == pytest.approx(1.3, abs=0.1)
@@ -309,11 +308,12 @@ def test_injected_pool_is_one_draw_made_in_blocks(monkeypatch):
     # the pool is one (n_train // b, P) = (10, 98) draw from one generator,
     # in blocks of any size; 100-variate blocks end on 80
     data = synthetic_blobs(120, 5, 2, 1.0, RngStream(162))
-    injection = GradientNoise("sas", 1.3, 2.0)
+    injection = StableParams(1.3, 2.0)
     model = init_mlp((5, 12, 2), RngStream(163))
     _, g_full, _ = forward_backward(model, data.train_x, data.train_y, "nll")
     gen = RngStream(164).substream(1).substream(0, 0).generator()
-    reference = injection.sample((10, g_full.size), gen, gen) + g_full - g_full
+    reference = injection.sigma * sample_standard_sas(injection.alpha, (10, g_full.size),
+                                                      gen, gen) + g_full - g_full
     pools = []
     monkeypatch.setattr(training, "layerwise_alpha",
                         lambda dev, model: pools.append(dev.copy()) or layerwise_alpha(dev, model))
@@ -345,7 +345,7 @@ def test_training_rows_are_deterministic():
 
 @pytest.mark.parametrize(
     "iters, kwargs",
-    [(30, {"measure_c_st": True}), (30, {"injection": GradientNoise("sas", 1.3, 2.0)}),
+    [(30, {"measure_c_st": True}), (30, {"injection": StableParams(1.3, 2.0)}),
      (23, {"measure_c_st": True})],
     ids=["c_st", "injection", "ragged"],
 )

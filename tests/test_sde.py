@@ -589,9 +589,9 @@ def test_pooled_generic_transition_records_independent_of_threads(monkeypatch):
 
 
 def test_pooled_generic_exit_records_equal_lone_runs(monkeypatch):
-    # shares of 1 to 17 lanes per thread; each record equals its replicate
-    # run alone, and noise is drawn off the calling thread exactly when
-    # there are two threads or more and more than one lane
+    # tiles of 1 to 24 lanes, each filled by one task; each record equals its
+    # replicate run alone, and noise is drawn off the calling thread exactly
+    # when there are two threads or more and more than one lane
     config = SdeConfig(eta=0.01, epsilon=0.3, alpha=1.2, w0=(-1.0,), max_steps=7000)
     spec, rng = double_well(-1.0, 2.0), RngStream(143)
     alone = [dataclasses.replace(first_exit_ensemble(config, spec, -1.0, 10.0,
@@ -729,6 +729,47 @@ def test_lanes_retire_per_piece_with_whole_chunk_records(monkeypatch):
                                                              RngStream(163), 40)
         assert piece_records == records and np.array_equal(piece_div, div)
         assert sum(drawn) < whole_rows
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_per_step_pieces_fill_the_tiles_they_observe(monkeypatch, threads):
+    # 70 lanes in 600-step chunks, the first drawn in pieces of 100 steps.
+    # After the piece at step s the merge retires the lanes ranked 60 - s // 10
+    # and up (rank 37 * lane mod 70), so the pieces hold 70, 60, ..., 10
+    # scattered lanes; Gaussian noise keeps every lane finite, so none
+    # retires on its own.  Each piece's fill calls take exactly the lanes of
+    # its observe tiles, the tile rule's split of the active lanes, and fill
+    # the very views those tiles observe
+    _threads(monkeypatch, threads)
+    config = SdeConfig(eta=0.05, epsilon=0.1, alpha=2.0, w0=(-1.0,), max_steps=1200)
+    monkeypatch.setattr(sde, "BUDGET", 100 * 70)
+    rank = np.arange(70) * 37 % 70
+    starts, fills, views = [], {}, {}
+    fill, observe = sde._fill, sde._observe
+
+    def fill_spy(config, draws, lanes, W):
+        fills.setdefault(len(starts), []).append((id(W), tuple(lanes.tolist())))
+        return fill(config, draws, lanes, W)
+
+    def observe_spy(W, reduce, done):
+        views.setdefault(done, set()).add(id(W))
+        return observe(W, reduce, done)
+
+    def merge(lanes, done, result):
+        if not starts or starts[-1] != done:
+            starts.append(done)
+        return rank[lanes] >= 60 - done // 10
+
+    monkeypatch.setattr(sde, "_fill", fill_spy)
+    monkeypatch.setattr(sde, "_observe", observe_spy)
+    streams = [RngStream(164).substream(r) for r in range(70)]
+    sde._run_lanes(config, double_well(-1.0, 2.0), streams, lambda *block: None, merge)
+    assert starts == list(range(0, 700, 100)) and len(fills) == len(starts)
+    for k, start in enumerate(starts):
+        active = np.flatnonzero(rank < 70 - 10 * k)
+        tiles = np.array_split(active, max(-(-active.size // sde.TILE), min(threads, active.size)))
+        assert sorted(lanes for _, lanes in fills[k]) == [tuple(t.tolist()) for t in tiles]
+        assert {view for view, _ in fills[k]} == views[start]
 
 
 def test_diverged_lane_not_counted_as_exit():
