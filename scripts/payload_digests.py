@@ -18,8 +18,11 @@ Large one-generator draws are made in blocks of 8192 variates; the
 `sample-blocks` (alpha 2), `estimate-blocks` (alpha 1), both `converge`
 runs at d 10 (their sigma_gamma estimates and squared-norm buffers) and
 `train-wide-inject` runs cross block boundaries and end on a ragged block.
-Every listed value of every enumerated key runs at least once, except
-`--source mnist`, which needs IDX files.  The other `train` runs use width
+Every listed value of every enumerated or bool key runs at least once,
+except `--source mnist`, which needs IDX files; a test in `tests/test_cli.py`
+resolves each run through `parse_config` to hold the list to that.  The
+`transition-cf` run takes `--noise_scaling cf`, and the `sweep-hinge` run
+`--loss linear_hinge`.  The other `train` runs use width
 8; `train-wide.csv` and `train-wide-inject.csv` run the benchmark's width
 128, where BLAS may take other kernels for the layer products.
 
@@ -72,6 +75,8 @@ RUNS = [
     " --records_output transition-records.csv",
     "transition --alpha 1.2 --eps 0.2 --eta 1e-3 --reps 200 --time_cap_factor 1.1 --seed 20"
     " --output transition-pieces.csv --records_output transition-pieces-records.csv",
+    "transition --alpha 1.2 --eps 0.4 --eta 0.01 --reps 20 --noise_scaling cf --seed 22"
+    " --output transition-cf.csv",
     "metastability --minima -1,2,4 --saddles 0,3 --alpha 1.3",
     "converge --noise sas --d 2 --ks 50,100 --reps 5 --sigma_samples 2000 --seed 7",
     "converge --noise sas --d 10 --ks 203,410 --reps 100 --seed 14 --output converge-blocks.csv",
@@ -95,18 +100,22 @@ RUNS = [
     " --init mean_field --seed 8 --output train-mean-field.csv",
     "sweep --n 40 --classes 2 --dim 5 --widths 8 --batch_sizes 20 --etas 0.001,1e60"
     " --iters 5 --seed 9",
+    "sweep --n 40 --classes 2 --dim 5 --widths 8 --batch_sizes 20 --etas 0.001"
+    " --loss linear_hinge --iters 5 --seed 9 --output sweep-hinge.csv"
+    " --groups_output sweep-hinge-groups.csv",
 ]
 
-with tempfile.TemporaryDirectory() as out:
-    os.environ["LEVYLAB_OUT"] = out
-    for run in RUNS:
-        status = main(run.split())
-        if status not in (0, 3):  # 3: sweep's diverging cell marks the run partial
-            sys.exit(f"{run!r} exited {status}")
-    occ = occupancy_study(double_well(-1.0, 2.0), 1.2, 0.1, 1e-3, RngStream(10),
-                          n_replicates=4, n_steps=60_000)
-    Path(out, "occupancy_study.csv").write_text(occ.header() + "\n" + occ.csv_row() + "\n")
-    for path in sorted(Path(out).iterdir()):
-        lines = [ln for ln in path.read_text().splitlines(keepends=True)
-                 if not ln.startswith("# wall_time_s")]
-        print(f"{hashlib.sha256(''.join(lines).encode()).hexdigest()}  {path.name}")
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as out:
+        os.environ["LEVYLAB_OUT"] = out
+        for run in RUNS:
+            status = main(run.split())
+            if status not in (0, 3):  # 3: sweep's diverging cell marks the run partial
+                sys.exit(f"{run!r} exited {status}")
+        occ = occupancy_study(double_well(-1.0, 2.0), 1.2, 0.1, 1e-3, RngStream(10),
+                              n_replicates=4, n_steps=60_000)
+        Path(out, "occupancy_study.csv").write_text(occ.header() + "\n" + occ.csv_row() + "\n")
+        for path in sorted(Path(out).iterdir()):
+            lines = [ln for ln in path.read_text().splitlines(keepends=True)
+                     if not ln.startswith("# wall_time_s")]
+            print(f"{hashlib.sha256(''.join(lines).encode()).hexdigest()}  {path.name}")

@@ -70,6 +70,8 @@ OUT_DIR_ENV = "LEVYLAB_OUT"
 _REQUIRED = object()
 _NON_NEGATIVE = (lambda v: not np.signbit(v), "must be >= 0")  # -0.0 would pass as unset
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_EACH_AT_LEAST_ONE = (lambda v: all(x >= 1 for x in v), "must each be >= 1")
+_POSITIVE = (lambda v: v > 0.0, "must be > 0")
 _KS = (lambda v: len(set(v)) >= 2 and min(v) >= 1,
        "needs two or more distinct K values, each >= 1, to fit a slope")
 
@@ -155,7 +157,7 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "w0_scale": ("float", 4.0),
         "ks": ("list_int", (100, 1000, 10000), _KS),
         "reps": ("int", 100, _AT_LEAST_ONE),
-        "m_const": ("float", 1.0, (lambda v: v > 0.0, "must be > 0")),
+        "m_const": ("float", 1.0, _POSITIVE),
         "sigma_gamma": ("float", 0.0, _NON_NEGATIVE),
         "c": ("float", 0.0, _NON_NEGATIVE),
         "eta": ("float", 0.0, _NON_NEGATIVE),
@@ -174,7 +176,7 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "log_every": ("int", 100),
         "measure_c_st": ("bool", False),
         "inject_alpha": ("float", 0.0, _NON_NEGATIVE),
-        "inject_scale": ("float", 1.0),
+        "inject_scale": ("float", 1.0, _POSITIVE),
         "init": (("fan_in", "mean_field"), "fan_in"),
     },
     "sweep": {
@@ -182,7 +184,7 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         **_DATA,
         **_PARTIAL,
         "n": ("int", 2000),
-        "widths": ("list_int", _REQUIRED),
+        "widths": ("list_int", _REQUIRED, _EACH_AT_LEAST_ONE),
         "depths": ("list_int", (2,)),
         "batch_sizes": ("list_int", _REQUIRED),
         "etas": ("list_float", _REQUIRED),

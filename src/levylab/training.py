@@ -238,6 +238,9 @@ def noise_scale_sweep(
     """
     if not (widths and depths and batch_sizes and etas):
         raise ParameterError("sweep grid must be nonempty in every dimension")
+    for width in widths:
+        if width < 1:
+            raise ParameterError(f"width must be >= 1, got {width}")
     for depth in depths:
         if depth < 2:
             raise ParameterError(f"depth must be >= 2 weight layers, got {depth}")

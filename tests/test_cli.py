@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import struct
 import time
@@ -427,6 +428,9 @@ _BAD_INPUTS = [
       for cmd in ("exit-time", "transition", "converge", "sweep")],
     ("train", "subsample", "-3", "ConfigError", "train: key 'subsample' must be >= 0, got -3"),
     ("converge", "m_const", "0", "ConfigError", "converge: key 'm_const' must be > 0, got 0.0"),
+    ("sweep", "widths", "8,0", "ConfigError", "sweep: key 'widths' must each be >= 1, got 8,0"),
+    *[("train", "inject_scale", v, "ConfigError",
+       f"train: key 'inject_scale' must be > 0, got {float(v)!r}") for v in ("0", "-2")],
 ]
 
 
@@ -704,3 +708,25 @@ def test_readme_lists_the_rule_table():
     listing = readme.split("each selector and what it implies:\n\n")[1].split("\n\n")[0]
     bullets = [" ".join(b.split()) for b in ("\n" + listing).split("\n- ")[1:]]
     assert bullets == list(_rendered_rules())
+
+
+def test_payload_digests_run_every_listed_value():
+    # every value of every enumerated or bool key, except the IDX-file source,
+    # is in some run of the digest script, so a refactor that moves the bytes
+    # of one variant shows in its digests
+    import levylab.cli as cli
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "payload_digests.py"
+    spec = importlib.util.spec_from_file_location("payload_digests", path)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    run = set()
+    for line in digests.RUNS:
+        command, _, flags = cli._parse_argv(line.split())
+        run |= {(command, *item) for item in parse_config("", command, flags).parameters.items()}
+    listed = set()
+    for command, schema in SCHEMAS.items():
+        for key, (kind, *_) in schema.items():
+            values = kind if isinstance(kind, tuple) else (True, False) if kind == "bool" else ()
+            listed |= {(command, key, value) for value in values}
+    assert listed - run == {(command, "source", "mnist") for command in ("train", "sweep")}

@@ -436,3 +436,14 @@ def test_sweep_checks_its_grid_before_the_first_cell(monkeypatch, depths, batch_
     monkeypatch.setattr(training, "init_mlp", no_training)
     with pytest.raises(ParameterError):
         noise_scale_sweep(data, (8,), depths, batch_sizes, (0.1,), "nll", 5, RngStream(155))
+
+
+def test_sweep_checks_its_widths_before_the_first_cell(monkeypatch):
+    data = synthetic_blobs(40, 5, 2, 1.0, RngStream(154))
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a cell trained before the grid was checked")
+
+    monkeypatch.setattr(training, "init_mlp", no_training)
+    with pytest.raises(ParameterError, match="width must be >= 1, got 0"):
+        noise_scale_sweep(data, (8, 0), (2,), (20,), (0.1,), "nll", 5, RngStream(155))

@@ -51,6 +51,61 @@ class _Alone:
         return self.rng.substream(self.r + i)
 
 
+class _LoggedGenerator(np.random.Generator):
+    """A real PCG64 generator that reports its uniform and normal draws to ``stream``."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        self.stream.record(out.shape if size is None else size)
+        return super().random(size, dtype, out)
+
+    def normal(self, loc, scale, size):
+        self.stream.record(size)
+        return super().normal(loc, scale, size)
+
+
+class _Drawn:
+    """Stream double of ``rng``: replicate r is ``rng.substream(r)``, and every
+    generator passes each draw through.  Each uniform or normal draw appends
+    (replicate, calling thread, size) to the shared ``log``, except that
+    replicate ``fail[0]``'s first raises ``fail[1]``.  After a chunk drawn in
+    pieces a lane goes on with the plain generator of ``piece_generators``,
+    so only its first such chunk is logged."""
+
+    def __init__(self, rng, fail=None, lane=0, log=None):
+        self.rng, self.fail, self.lane = rng, fail, lane
+        self.log = [] if log is None else log
+
+    def substream(self, r):
+        return _Drawn(self.rng.substream(r), self.fail, r, self.log)
+
+    def generator(self):
+        gen = _LoggedGenerator(self.rng.generator().bit_generator)
+        gen.stream = self
+        return gen
+
+    def record(self, size):
+        if self.fail and self.fail[0] == self.lane:
+            raise self.fail[1]
+        self.log.append((self.lane, threading.current_thread(), size))
+
+    def on_main(self):
+        return {thread is threading.main_thread() for _, thread, _ in self.log}
+
+
+def _counted(spec):
+    """``spec`` with a ``grad`` that appends to the returned list once per call
+    after construction; no call means every chunk took the linear scan."""
+    calls, grad = [], spec.grad
+
+    def counting(w):
+        calls.append(None)
+        return grad(w)
+
+    counted = dataclasses.replace(spec, grad=counting)
+    calls.clear()
+    return counted, calls
+
+
 def _slow_drift():
     """A quadratic whose drift is slow enough (e^-1.5 per 3000-step chunk at eta
     0.01) that a lane restarted at w0 leaves at another step."""
@@ -60,30 +115,33 @@ def _slow_drift():
 
 def _lane_0_path(config, spec, streams):
     """Lane 0's path in a ``_run_lanes`` run whose merge retires every other
-    lane after the first block (NaN at steps it did not observe)."""
+    lane after the first block (NaN at steps it did not observe), the lanes
+    observed in the blocks at each first step, and whether each tile was
+    observed on the calling thread."""
     path = np.full((config.max_steps, config.dim), np.nan)
+    active, on_main = {}, set()
 
     def first_lane(done, W, finite):
-        return W[0].copy()
+        return W[0].copy(), threading.current_thread() is threading.main_thread()
 
     def keep_lane_0(lanes, done, result):
+        first, main = result
+        active[done] = active.get(done, 0) + lanes.size
+        on_main.add(main)
         if lanes[0] == 0:
-            path[done : done + result.shape[0]] = result
+            path[done : done + first.shape[0]] = first
         return lanes != 0
 
     sde._run_lanes(config, spec, streams, first_lane, keep_lane_0)
-    return path
+    return path, active, on_main
 
 
-def _declared_fast(monkeypatch, *args):
+def _declared_fast(config, spec, *args):
     """Exit records of a run that must take the exact linear scan."""
-
-    def refuse(*_):
-        raise AssertionError("declared linear drift fell back to the per-step loop")
-
-    with monkeypatch.context() as m:
-        m.setattr(sde, "_scan_chunk_generic", refuse)
-        return first_exit_ensemble(*args)
+    counted, calls = _counted(spec)
+    records = first_exit_ensemble(config, counted, *args)
+    assert not calls, "declared linear drift fell back to the per-step loop"
+    return records
 
 
 @pytest.mark.parametrize(
@@ -239,11 +297,11 @@ def test_exit_step_monotone_in_radius():
         assert steps[0] <= steps[1] <= steps[2]
 
 
-def test_linear_fast_path_matches_generic_scan(monkeypatch):
+def test_linear_fast_path_matches_generic_scan():
     config = _cfg(eta=0.003, epsilon=0.2, alpha=1.5, w0=(0.0,), max_steps=3000)
     spec = quadratic(1)
     generic = first_exit_ensemble(config, _undeclared(spec), 0.0, 1.0, RngStream(100), 20)
-    fast = _declared_fast(monkeypatch, config, spec, 0.0, 1.0, RngStream(100), 20)
+    fast = _declared_fast(config, spec, 0.0, 1.0, RngStream(100), 20)
     assert _outcomes(generic) == _outcomes(fast)
 
 
@@ -253,29 +311,31 @@ def test_unstable_linear_drift_falls_back():
     stiff = ObjectiveSpec(dim=1, f=lambda w: 75.0 * w**2, grad=lambda w: 150.0 * w,
                           linear_drift=(150.0, 0.0))
     config = _cfg(eta=0.01, epsilon=0.3, w0=(0.0,), max_steps=1000)
-    recs = first_exit_ensemble(config, stiff, 0.0, 0.8, RngStream(101), 4)
+    counted, calls = _counted(stiff)
+    recs = first_exit_ensemble(config, counted, 0.0, 0.8, RngStream(101), 4)
     ref = first_exit_ensemble(config, _undeclared(stiff), 0.0, 0.8, RngStream(101), 4)
     assert _outcomes(recs) == _outcomes(ref)
+    assert calls
 
 
-def test_linear_scan_stiff_rate_matches_generic(monkeypatch):
+def test_linear_scan_stiff_rate_matches_generic():
     # c = 0.9: c**-j over a full 8192-step chunk overflows unless the scan
     # splits the chunk into sub-blocks
     stiff = ObjectiveSpec(dim=1, f=lambda w: 50.0 * w**2, grad=lambda w: 100.0 * w,
                           linear_drift=(100.0, 0.0))
     config = _cfg(eta=1e-3, epsilon=0.3, alpha=1.5, w0=(0.0,), max_steps=20_000)
-    fast = _declared_fast(monkeypatch, config, stiff, 0.0, 0.5, RngStream(120), 50)
+    fast = _declared_fast(config, stiff, 0.0, 0.5, RngStream(120), 50)
     ref = first_exit_ensemble(config, _undeclared(stiff), 0.0, 0.5, RngStream(120), 50)
     assert _outcomes(fast) == _outcomes(ref)
     assert not any(r.diverged for r in fast)
 
 
-def test_linear_scan_shifted_center_matches_generic(monkeypatch):
+def test_linear_scan_shifted_center_matches_generic():
     # the scan must relax toward the declared center, not toward 0
     shifted = ObjectiveSpec(dim=1, f=lambda w: 0.5 * (w - 3.0) ** 2,
                             grad=lambda w: w - 3.0, linear_drift=(1.0, 3.0))
     config = _cfg(eta=1e-3, epsilon=0.1, alpha=1.5, w0=(3.0,), max_steps=20_000)
-    fast = _declared_fast(monkeypatch, config, shifted, 3.0, 1.0, RngStream(120), 50)
+    fast = _declared_fast(config, shifted, 3.0, 1.0, RngStream(120), 50)
     ref = first_exit_ensemble(config, _undeclared(shifted), 3.0, 1.0, RngStream(120), 50)
     assert _outcomes(fast) == _outcomes(ref)
     assert 0 < sum(r.exited for r in fast) < 50
@@ -325,18 +385,10 @@ def test_exit_records_at_tile_edges_equal_lone_runs(monkeypatch, threads):
              for r in range(65)]
     assert 0 < sum(r.exited for r in alone) < 65
     _threads(monkeypatch, threads)
-    on_main = set()
-    draw = sde.noise_increments
-
-    def spy(*args):
-        on_main.add(threading.current_thread() is threading.main_thread())
-        return draw(*args)
-
-    monkeypatch.setattr(sde, "noise_increments", spy)
     for n in (2, 31, 32, 33, 65):
-        on_main.clear()
-        assert first_exit_ensemble(config, spec, 0.0, 1.0, rng, n) == alone[:n]
-        assert on_main == {threads == 1}
+        drawn = _Drawn(rng)
+        assert first_exit_ensemble(config, spec, 0.0, 1.0, drawn, n) == alone[:n]
+        assert drawn.on_main() == {threads == 1}
 
 
 def test_linear_scan_outcomes_independent_of_tile_size_and_threads(monkeypatch):
@@ -351,21 +403,12 @@ def test_linear_scan_outcomes_independent_of_tile_size_and_threads(monkeypatch):
     streams = [RngStream(127).substream(r) for r in range(40)]
     lone = simulate(exit_config, _slow_drift(), streams[0])
     assert not lone.diverged
-    fill = sde._fill_and_scan
-    active = {}
-
-    def spy(config, gens, lanes, wa, L, scan, reduce, done, *rest):
-        active[done] = active.get(done, 0) + lanes.size
-        return fill(config, gens, lanes, wa, L, scan, reduce, done, *rest)
-
-    monkeypatch.setattr(sde, "_fill_and_scan", spy)
     runs = []
     for tile in (1, 7, 32):
         monkeypatch.setattr(sde, "TILE", tile)
         for threads in (1, 2, 3):
             _threads(monkeypatch, threads)
-            active.clear()
-            path = _lane_0_path(exit_config, _slow_drift(), streams)
+            path, active, _ = _lane_0_path(exit_config, _slow_drift(), streams)
             assert active == {0: 40, 3000: 1, 6000: 1, 9000: 1, 12000: 1}
             assert path.tobytes() == lone.points[1:].tobytes()
             records = first_exit_ensemble(exit_config, _slow_drift(), 0.0, 0.6,
@@ -384,39 +427,31 @@ def test_per_step_outcomes_independent_of_tile_size_and_threads(monkeypatch):
     # A merge that retires every lane but lane 0 after the first block leaves
     # one active lane in each of the three later chunks, whose path is its
     # lone run's; the occupancy run's burn-in ends inside its second chunk.
-    # Tiles are observed off the calling thread exactly when there are two
-    # CPUs or more and two lanes
+    # Tiles are filled and observed off the calling thread exactly when there
+    # are two CPUs or more and two lanes
     trans_config = SdeConfig(eta=0.01, epsilon=0.2, alpha=1.2, w0=(-1.0,), max_steps=12_000)
     occ_config = SdeConfig(eta=0.01, epsilon=0.3, alpha=1.2, w0=(-1.0,), max_steps=6000)
     spec = double_well(-1.0, 2.0)
     streams = [RngStream(153).substream(r) for r in range(40)]
     lone = simulate(trans_config, spec, streams[0])
     assert not lone.diverged
-    observe = sde._observe
-    active, on_main = {}, set()
-
-    def spy(W, reduce, done):
-        active[done] = active.get(done, 0) + W.shape[0]
-        on_main.add(threading.current_thread() is threading.main_thread())
-        return observe(W, reduce, done)
-
-    monkeypatch.setattr(sde, "_observe", spy)
     runs = []
     for tile in (1, 7, 32):
         monkeypatch.setattr(sde, "TILE", tile)
         for threads in (1, 2, 3):
             _threads(monkeypatch, threads)
-            active.clear()
-            path = _lane_0_path(trans_config, spec, streams)
+            path, active, on_main = _lane_0_path(trans_config, spec, streams)
             assert active == {0: 40, 3000: 1, 6000: 1, 9000: 1}
             assert path.tobytes() == lone.points[1:].tobytes()
-            on_main.clear()
-            transitions = first_transition_ensemble(trans_config, spec, 0.2, RngStream(153), 40)
-            occupancy = occupancy_ensemble(occ_config, spec, RngStream(141), 40, burn_in=4000)
             assert on_main == {threads == 1}
-            on_main.clear()
-            first_transition_ensemble(trans_config, spec, 0.2, RngStream(153), 1)
-            assert on_main == {True}
+            drawn = _Drawn(RngStream(153))
+            transitions = first_transition_ensemble(trans_config, spec, 0.2, drawn, 40)
+            occupancy = occupancy_ensemble(occ_config, spec, _Drawn(RngStream(141), log=drawn.log),
+                                           40, burn_in=4000)
+            assert drawn.on_main() == {threads == 1}
+            drawn = _Drawn(RngStream(153))
+            first_transition_ensemble(trans_config, spec, 0.2, drawn, 1)
+            assert drawn.on_main() == {True}
             runs.append((transitions, occupancy))
     ((records, div), (frac, n_div)), *others = runs
     assert 0 < div.sum() and 0 < len(records) < 40 and 0 < n_div < 40
@@ -503,17 +538,8 @@ def test_transition_window_decides_like_the_distance(t, delta):
 
 def test_tile_task_error_surfaces_and_threads_stop(monkeypatch):
     _threads(monkeypatch, 2)
-    rng = RngStream(124)
-    target = rng.substream(40).generator().bit_generator.state
     boom = ParameterError("lane 40 failed")
-    draw = sde.noise_increments
-
-    def failing(config, n, gen, exp_gen, normal_gen):
-        if gen.bit_generator.state == target:
-            raise boom
-        return draw(config, n, gen, exp_gen, normal_gen)
-
-    monkeypatch.setattr(sde, "noise_increments", failing)
+    rng = _Drawn(RngStream(124), fail=(40, boom))
     before = threading.active_count()
     with pytest.raises(ParameterError) as err:
         first_exit_ensemble(_cfg(max_steps=2000), quadratic(1), 0.0, 1.0, rng, 65)
@@ -555,7 +581,7 @@ def _per_step_exits(config, spec, rng, n, thr):
 
 
 @pytest.mark.parametrize("declared", [True, False], ids=["linear", "generic"])
-def test_multichunk_exit_records_equal_a_per_step_loop(declared, monkeypatch):
+def test_multichunk_exit_records_equal_a_per_step_loop(declared):
     # four chunks of 3000, 3000, 3000 and 1000 steps, and a drift slow enough
     # (e^-1.5 per chunk) that a lane restarted at w0 leaves at another step:
     # a lane that lives past a chunk must start the next one where it stopped
@@ -564,7 +590,7 @@ def test_multichunk_exit_records_equal_a_per_step_loop(declared, monkeypatch):
     rng = RngStream(150)
     loop = _per_step_exits(config, slow, rng, 16, 0.5)
     if declared:
-        records = _declared_fast(monkeypatch, config, slow, 0.0, 0.5, rng, 16)
+        records = _declared_fast(config, slow, 0.0, 0.5, rng, 16)
     else:
         records = first_exit_ensemble(config, _undeclared(slow), 0.0, 0.5, rng, 16)
     assert _outcomes(records) == loop
@@ -598,20 +624,12 @@ def test_pooled_generic_exit_records_equal_lone_runs(monkeypatch):
                                                      _Alone(rng, r), 1)[0], replicate=r)
              for r in range(33)]
     assert 0 < sum(r.exited for r in alone) < 33
-    on_main = set()
-    draw = sde.noise_increments
-
-    def spy(*args):
-        on_main.add(threading.current_thread() is threading.main_thread())
-        return draw(*args)
-
-    monkeypatch.setattr(sde, "noise_increments", spy)
     for threads in (1, 2, 3):
         _threads(monkeypatch, threads)
         for n in (1, 2, 3, 24, 33):
-            on_main.clear()
-            assert first_exit_ensemble(config, spec, -1.0, 10.0, rng, n) == alone[:n]
-            assert on_main == {threads == 1 or n == 1}
+            drawn = _Drawn(rng)
+            assert first_exit_ensemble(config, spec, -1.0, 10.0, drawn, n) == alone[:n]
+            assert drawn.on_main() == {threads == 1 or n == 1}
 
 
 def test_pooled_generic_occupancy_independent_of_threads(monkeypatch):
@@ -630,17 +648,8 @@ def test_pooled_generic_occupancy_independent_of_threads(monkeypatch):
 @pytest.mark.parametrize("threads", [2, 3])
 def test_pooled_fill_error_surfaces_and_threads_stop(monkeypatch, threads):
     _threads(monkeypatch, threads)
-    rng = RngStream(144)
-    target = rng.substream(20).generator().bit_generator.state
     boom = ParameterError("lane 20 failed")
-    draw = sde.noise_increments
-
-    def failing(config, n, gen, exp_gen, normal_gen):
-        if gen.bit_generator.state == target:
-            raise boom
-        return draw(config, n, gen, exp_gen, normal_gen)
-
-    monkeypatch.setattr(sde, "noise_increments", failing)
+    rng = _Drawn(RngStream(144), fail=(20, boom))
     before = threading.active_count()
     with pytest.raises(ParameterError) as err:
         first_exit_ensemble(_cfg(w0=(-1.0,), max_steps=2000), double_well(-1.0, 2.0),
@@ -677,58 +686,45 @@ def test_per_step_pieces_draw_whole_chunks(monkeypatch, alpha, sigma_b, dim):
     else:
         spec, center, a = _undeclared(quadratic(2)), (0.0, 0.0), 1.5
 
-    def run():
-        path = simulate(config, spec, RngStream(160)).points
-        exits = first_exit_ensemble(config, spec, center, a, RngStream(161), 9)
+    def run(stream):
+        path = simulate(config, spec, stream(160)).points
+        exits = first_exit_ensemble(config, spec, center, a, stream(161), 9)
         if dim > 1:
             return path.tobytes(), exits
-        fractions, n_div = occupancy_ensemble(config, spec, RngStream(162), 9)
+        fractions, n_div = occupancy_ensemble(config, spec, stream(162), 9)
         return path.tobytes(), exits, fractions.tobytes(), n_div
 
-    whole = run()
-    sizes = set()
-    draw = sde.noise_increments
-
-    def spy(config, n, *gens):
-        sizes.add(n)
-        return draw(config, n, *gens)
-
-    monkeypatch.setattr(sde, "noise_increments", spy)
+    whole = run(RngStream)
+    drawn = []
     monkeypatch.setattr(sde, "BUDGET", 67 * 9)
     for threads in (1, 2, 3):
         _threads(monkeypatch, threads)
-        assert run() == whole
+        assert run(lambda seed: _Drawn(RngStream(seed), log=drawn)) == whole
     rows = 67 // dim
-    assert {rows, 1500 % rows} <= sizes
+    assert {rows, 1500 % rows} <= {size[0] for _, _, size in drawn}
 
 
 def test_lanes_retire_per_piece_with_whole_chunk_records(monkeypatch):
     # 40 lanes in 600-step chunks, drawn in pieces of 100 steps: some lanes
     # cross in the first piece and draw nothing after it, some only after the
     # first chunk; the records are the whole-chunk ones at 1, 2 and 3
-    # threads, and fewer rows are drawn
+    # threads, and fewer rows are drawn in the first chunk: the one chunk a
+    # lane drawn in pieces logs, and each lane's first draw in the whole run
     config = SdeConfig(eta=0.05, epsilon=0.3, alpha=1.2, w0=(-1.0,), max_steps=3000)
     spec = double_well(-1.0, 2.0)
-    drawn = []
-    draw = sde.noise_increments
-
-    def spy(config, n, *gens):
-        drawn.append(n)
-        return draw(config, n, *gens)
-
-    monkeypatch.setattr(sde, "noise_increments", spy)
-    records, div = first_transition_ensemble(config, spec, 0.2, RngStream(163), 40)
+    drawn = _Drawn(RngStream(163))
+    records, div = first_transition_ensemble(config, spec, 0.2, drawn, 40)
     steps = [r.transition_step for r in records]
     assert min(steps) <= 100 and max(steps) > sde._chunk_len(config.eta, config.max_steps)
-    whole_rows = sum(drawn)
+    first = {lane: size[0] for lane, _, size in reversed(drawn.log)}
+    whole_rows = sum(first.values())
     monkeypatch.setattr(sde, "BUDGET", 100 * 40)
     for threads in (1, 2, 3):
         _threads(monkeypatch, threads)
-        drawn.clear()
-        piece_records, piece_div = first_transition_ensemble(config, spec, 0.2,
-                                                             RngStream(163), 40)
+        drawn = _Drawn(RngStream(163))
+        piece_records, piece_div = first_transition_ensemble(config, spec, 0.2, drawn, 40)
         assert piece_records == records and np.array_equal(piece_div, div)
-        assert sum(drawn) < whole_rows
+        assert sum(size[0] for _, _, size in drawn.log) < whole_rows
 
 
 @pytest.mark.parametrize("threads", [2, 3])
